@@ -34,6 +34,9 @@ class PwlActivation:
         q = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
         if s.size < 1 or s.size != b.size + 1 or q.size != s.size:
             raise ValueError("need len(boundaries) + 1 pieces")
+        for name, arr in (("boundaries", b), ("slopes", s), ("intercepts", q)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite activation {name}: {arr.tolist()}")
         if b.size and not np.all(np.diff(b) > 0.0):
             raise ValueError("boundaries must be strictly increasing")
         for name, arr in (("boundaries", b), ("slopes", s), ("intercepts", q)):

@@ -8,7 +8,10 @@ output deviation bound for swapping one activation for a nearby one.
 
 All infimum/supremum searches are grid scans plus local golden-section or
 coordinate refinement at documented resolutions; they return estimates, not
-certified optima.
+certified optima. The segment-pair scan of the curvature floor runs as one
+batched kernel over all pairs; for elementwise Hessians it is bit-identical
+to evaluating the pairs one at a time. The coordinate-ascent polish of the
+best pair stays sequential.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import PreconditionError
 from .linalg import eig2
 from .report import FAIL, PASS, AuditReport, upper_audit
-from .search import coordinate_ascent, golden_min
+from .search import coordinate_ascent, golden_min, golden_min_batch
 from .targets import TargetFunction
 
 
@@ -144,10 +147,72 @@ def _eig_range(h: np.ndarray):
     return w[..., 0], w[..., -1]
 
 
-def _clamped_curvature(h: np.ndarray) -> np.ndarray:
+def _curvature_parts(h: np.ndarray):
+    """(gamma, sign(lam_min) * sign(lam_max)) for a stack of symmetric matrices."""
     lo, hi = _eig_range(h)
-    gamma = np.minimum(np.abs(lo), np.abs(hi))
-    return np.maximum(0.0, gamma * np.sign(lo) * np.sign(hi))
+    return np.minimum(np.abs(lo), np.abs(hi)), np.sign(lo) * np.sign(hi)
+
+
+def _clamped_curvature(h: np.ndarray) -> np.ndarray:
+    gamma, sign = _curvature_parts(h)
+    return np.maximum(0.0, gamma * sign)
+
+
+# Cap on the points per g.hessian call: 1025-point grids go 63 segments at a
+# time, and refinement takes at most this many segments at once, so peak
+# memory does not grow with the pair count.
+HESSIAN_BATCH_POINTS = 2**16
+
+
+def _segment_curvatures(g: TargetFunction, X: np.ndarray, Y: np.ndarray, cfg: BoundConfig):
+    """min_curvature for every row pair of the (P, n) endpoint arrays X, Y.
+
+    Returns the SegmentCurvature fields as length-P arrays (value,
+    minimizing_alpha, gamma_at_min, sign_at_min); endpoints are not validated.
+    Each pair takes min_curvature's arithmetic elementwise: the grid scan in
+    stacked Hessian batches, then golden refinement of every pair with a
+    positive grid minimum at once (golden_min itself when P == 1, where array
+    overhead would dominate). The final Hessian gives value and eigenvalue
+    fields alike.
+    """
+    P = len(X)
+    if P > HESSIAN_BATCH_POINTS:
+        parts = [
+            _segment_curvatures(g, X[s:s + HESSIAN_BATCH_POINTS], Y[s:s + HESSIAN_BATCH_POINTS], cfg)
+            for s in range(0, P, HESSIAN_BATCH_POINTS)
+        ]
+        return tuple(np.concatenate(field) for field in zip(*parts))
+    D = Y - X
+    alphas = np.linspace(0.0, 1.0, cfg.alpha_grid)
+    best_a = np.empty(P)
+    best_v = np.empty(P)
+    rows = max(1, HESSIAN_BATCH_POINTS // cfg.alpha_grid)
+    for s in range(0, P, rows):
+        pts = X[s:s + rows, None, :] + alphas[:, None] * D[s:s + rows, None, :]
+        values = _clamped_curvature(g.hessian(pts.reshape(-1, g.n))).reshape(-1, alphas.size)
+        k = np.argmin(values, axis=1)
+        best_a[s:s + rows] = alphas[k]
+        best_v[s:s + rows] = values[np.arange(k.size), k]
+    refine = np.flatnonzero(best_v > 0.0)  # the clamp at 0 cannot be undercut
+    if refine.size:
+        step = 1.0 / (cfg.alpha_grid - 1)
+        lo = np.maximum(0.0, best_a[refine] - step)
+        hi = np.minimum(1.0, best_a[refine] + step)
+        if P == 1:
+            x, d = X[0], D[0]
+            ref_a, ref_v = golden_min(
+                lambda a: float(_clamped_curvature(g.hessian(x + a * d))),
+                float(lo[0]), float(hi[0]), cfg.refine_iters,
+            )
+        else:
+            Xr, Dr = X[refine], D[refine]
+            ref_a, ref_v = golden_min_batch(
+                lambda a: _clamped_curvature(g.hessian(Xr + a[:, None] * Dr)),
+                lo, hi, cfg.refine_iters,
+            )
+        best_a[refine] = np.where(ref_v < best_v[refine], ref_a, best_a[refine])
+    gamma, sign = _curvature_parts(g.hessian(X + best_a[:, None] * D))
+    return np.sqrt(np.maximum(0.0, gamma * sign)), best_a, gamma, sign
 
 
 def min_curvature(g: TargetFunction, x, y, cfg: BoundConfig | None = None) -> SegmentCurvature:
@@ -167,29 +232,8 @@ def min_curvature(g: TargetFunction, x, y, cfg: BoundConfig | None = None) -> Se
         raise ValueError("degenerate segment: x == y")
     if not (g.domain.contains(x) and g.domain.contains(y)):
         raise ValueError("segment endpoints outside the domain")
-    d = y - x
-
-    def phi(alpha):
-        pts = x + np.multiply.outer(np.asarray(alpha, dtype=float), d)
-        return _clamped_curvature(g.hessian(pts))
-
-    alphas = np.linspace(0.0, 1.0, cfg.alpha_grid)
-    values = phi(alphas)
-    k = int(np.argmin(values))
-    best_a, best_v = float(alphas[k]), float(values[k])
-    if best_v > 0.0:  # the clamp at 0 cannot be undercut, skip refinement then
-        step = 1.0 / (cfg.alpha_grid - 1)
-        lo, hi = max(0.0, best_a - step), min(1.0, best_a + step)
-        ref_a, ref_v = golden_min(lambda a: float(phi(a)), lo, hi, cfg.refine_iters)
-        if ref_v < best_v:
-            best_a = float(ref_a)
-    val = float(phi(best_a))
-    h = g.hessian(x + best_a * d)
-    lam_lo, lam_hi = _eig_range(h[None, ...] if h.ndim == 2 else h)
-    lam_lo, lam_hi = float(np.ravel(lam_lo)[0]), float(np.ravel(lam_hi)[0])
-    gamma = min(abs(lam_lo), abs(lam_hi))
-    sign = int(np.sign(lam_lo) * np.sign(lam_hi))
-    return SegmentCurvature(math.sqrt(val), best_a, gamma, sign)
+    value, alpha, gamma, sign = _segment_curvatures(g, x[None, :], y[None, :], cfg)
+    return SegmentCurvature(float(value[0]), float(alpha[0]), float(gamma[0]), int(sign[0]))
 
 
 def _pair_value(g, cfg, x, y) -> float:
@@ -201,7 +245,12 @@ def _pair_value(g, cfg, x, y) -> float:
 
 def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> CurvatureBound:
     """sup ||x-y|| * curvature(g, x, y) / 4 over corner pairs, random pairs,
-    and a coordinate-ascent polish of the best pair found."""
+    and a coordinate-ascent polish of the best pair found.
+
+    The corner and random pairs go through one batched curvature kernel call,
+    bit-identical to one min_curvature call per pair for elementwise
+    Hessians; the polish stays sequential, one min_curvature call per probe.
+    """
     cfg = cfg or BoundConfig()
     pairs = []
     if cfg.corner_pairs:
@@ -218,10 +267,14 @@ def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> 
         while np.linalg.norm(y - x) < 1e-9:
             y = g.domain.sample(rng, 1)[0]
         pairs.append((x, y))
+    curvatures = _segment_curvatures(
+        g, np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]), cfg
+    )[0]
     best_val = -1.0
     best = None
-    for x, y in pairs:
-        v = _pair_value(g, cfg, x, y)
+    for (x, y), c in zip(pairs, curvatures):
+        dist = float(np.linalg.norm(y - x))
+        v = 0.0 if dist < 1e-9 else dist * float(c) / 4.0
         if v > best_val:
             best_val, best = v, (x, y)
     p0 = np.concatenate(best)

@@ -1,29 +1,13 @@
 """Eigenvalues of small symmetric matrices.
 
-Closed forms for n <= 2 and a cyclic Jacobi iteration for n >= 3; all the
-Hessians this package sees are tiny, so a dependency-free routine is enough.
-Tests cross-check against numpy.linalg.eigvalsh.
+eig2 is the closed form for 2x2 stacks; the curvature searches use it for
+n = 2, read 1x1 stacks directly, and call numpy.linalg.eigvalsh for n >= 3.
+Tests cross-check eig2 against numpy.linalg.eigvalsh.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-JACOBI_OFFDIAG_TOL = 1e-12
-
-
-def sym_eigvals(a) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    if n == 2:
-        lo, hi = eig2(a[0, 0], a[0, 1], a[1, 1])
-        return np.array([lo, hi])
-    return _jacobi_eigvals(a)
 
 
 def eig2(h11, h12, h22):
@@ -31,31 +15,3 @@ def eig2(h11, h12, h22):
     mean = 0.5 * (h11 + h22)
     radius = np.hypot(0.5 * (h11 - h22), h12)
     return mean - radius, mean + radius
-
-
-def _jacobi_eigvals(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(60):  # far more sweeps than small n ever needs
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= JACOBI_OFFDIAG_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                # Classic symmetric Schur rotation zeroing a[p, q].
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)  # keep exact symmetry against roundoff
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(a))

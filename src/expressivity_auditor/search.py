@@ -45,6 +45,47 @@ def golden_min(fn, lo, hi, iters=40):
     return best_x, best_f
 
 
+def golden_min_batch(fn, lo, hi, iters=40):
+    """Elementwise golden_min over a batch of brackets [lo[i], hi[i]].
+
+    fn maps an array of points, one per bracket, to their values. Each element
+    follows golden_min's arithmetic and tie rules exactly (endpoints first,
+    then c before d, strict <), so for an fn built from elementwise IEEE
+    operations the result equals golden_min per bracket bit for bit. That can
+    fail for fn using numpy's SIMD transcendentals (sin, exp, ...), whose
+    array and scalar calls may differ by one ulp.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(hi < lo):
+        raise ValueError("empty bracket")
+    best_x, best_f = lo, fn(lo)
+    f = fn(hi)
+    take = f < best_f
+    best_x, best_f = np.where(take, hi, best_x), np.where(take, f, best_f)
+    a, b = lo, hi
+    h = b - a
+    live = ~(h <= 0.0)  # golden_min's early exit, NaN widths included
+    if not np.any(live):
+        return best_x, best_f
+    c = a + INV_PHI2 * h
+    d = a + INV_PHI * h
+    fc, fd = fn(c), fn(d)
+    for _ in range(max(1, int(iters))):
+        left = fc < fd  # golden_min's branch, per element
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        keep, fkeep = np.where(left, c, d), np.where(left, fc, fd)
+        h = b - a
+        new = np.where(left, a + INV_PHI2 * h, a + INV_PHI * h)
+        fnew = fn(new)
+        c, fc = np.where(left, new, keep), np.where(left, fnew, fkeep)
+        d, fd = np.where(left, keep, new), np.where(left, fkeep, fnew)
+    for x, f in ((c, fc), (d, fd)):
+        take = live & (f < best_f)
+        best_x, best_f = np.where(take, x, best_x), np.where(take, f, best_f)
+    return best_x, best_f
+
+
 def golden_max(fn, lo, hi, iters=40):
     x, f = golden_min(lambda v: -fn(v), lo, hi, iters)
     return x, -f

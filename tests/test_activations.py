@@ -138,3 +138,17 @@ def test_activation_constructor_validation():
         PwlActivation("bad", [1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         PwlActivation("bad", [0.0], [1.0], [0.0])
+
+
+@pytest.mark.parametrize("name", ["leaky-relu(nan)", "leaky-relu(inf)", "leaky-relu(-inf)"])
+def test_non_finite_slope_rejected(name):
+    with pytest.raises(ValueError, match="non-finite activation slopes"):
+        builtin_activation(name)
+
+
+@pytest.mark.parametrize("field", ["boundaries", "slopes", "intercepts"])
+def test_non_finite_parameters_rejected(field):
+    params = {"boundaries": [0.0], "slopes": [0.0, 1.0], "intercepts": [0.0, 0.0]}
+    params[field] = [float("nan")] + params[field][1:]
+    with pytest.raises(ValueError, match=f"non-finite activation {field}"):
+        PwlActivation("bad", **params)

@@ -231,6 +231,22 @@ def test_unknown_subcommand(capsys):
     assert "error" in err
 
 
+def test_nan_inline_activation_exits_one(capsys, tmp_path, tent2_path):
+    with open(tent2_path) as fh:
+        doc = json.load(fh)
+    doc["units"][0]["activation"] = {
+        "name": "custom",
+        "boundaries": [0.0],
+        "pieces": [{"slope": float("nan"), "intercept": 0.0}, {"slope": 1.0, "intercept": 0.0}],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes the bare token NaN
+    assert "NaN" in path.read_text()
+    rc, out, err = run(capsys, ["analyze", "--net", str(path)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: non-finite activation slopes")
+
+
 def test_missing_required_flag(capsys):
     rc, _, err = run(capsys, ["analyze"])
     assert rc == 1

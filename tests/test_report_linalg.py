@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expressivity_auditor.linalg import eig2, sym_eigvals
+from expressivity_auditor.linalg import eig2
 from expressivity_auditor.report import (
     AuditReport,
     estimate_report,
@@ -73,18 +73,6 @@ def test_eig2_array_arguments():
     lo, hi = eig2(h11, h12, h22)
     assert np.allclose(lo, [2.0, 1.0])
     assert np.allclose(hi, [2.0, 3.0])
-
-
-def test_sym_eigvals_small_sizes():
-    assert np.allclose(sym_eigvals([[5.0]]), [5.0])
-    assert np.allclose(sym_eigvals([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0])
-    rng = np.random.default_rng(1)
-    for n in (3, 4, 6):
-        m = rng.normal(size=(n, n))
-        m = (m + m.T) / 2.0
-        assert np.allclose(sym_eigvals(m), np.linalg.eigvalsh(m), atol=1e-8)
-    with pytest.raises(ValueError):
-        sym_eigvals(np.zeros((2, 3)))
 
 
 # -------------------------------------------------------------------- search
