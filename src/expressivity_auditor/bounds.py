@@ -48,6 +48,8 @@ class BoundConfig:
             raise ValueError("t must be an integer >= 1")
         if min(self.alpha_grid, self.refine_iters, self.pair_samples) < 1:
             raise ValueError("all search counts must be >= 1")
+        if self.alpha_grid < 2:
+            raise ValueError("alpha_grid must be >= 2: the grid needs both segment ends")
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,12 @@
 Each trial draws a layered random network and a random segment from a
 CampaignSpec, restricts the network to the segment, and audits every counting
 inequality. Trial i is seeded by SeedSequence(master, spawn_key=(i,)), so
-results are reproducible individually and independent of worker scheduling;
-rows are always emitted in trial order.
+each trial is reproducible on its own; rows are emitted in trial order.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +18,7 @@ from .activations import builtin_activation, piece_count
 from .bounds import breakpoint_upper_bound
 from .netgraph import Segment, depth_profile, random_network
 from .report import PASS
-from .restriction import audit_transition_inequalities, break_points, restrict, transitions
+from .restriction import audit_transition_inequalities, break_points, restrict
 
 CSV_HEADER = "# expressivity-auditor v1"
 CSV_COLUMNS = (
@@ -117,8 +114,8 @@ def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
     while np.linalg.norm(y - x) < 1e-6:
         y = spec.segment_lo + rng.random(n) * span
     r = restrict(net, Segment(x, y))
-    reports = audit_transition_inequalities(r)
-    verdicts = {rep.kind: rep.verdict == PASS for rep in reports}
+    reports = {rep.kind: rep for rep in audit_transition_inequalities(r)}
+    verdicts = {kind: rep.verdict == PASS for kind, rep in reports.items()}
     prof = depth_profile(net)
     t = piece_count(act)
     return TrialResult(
@@ -130,22 +127,17 @@ def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
         depth=prof.depth,
         omega=prof.width,
         breakpoints=break_points(r),
-        transitions_all=transitions(r, tuple(net.unit_map)),
+        transitions_all=int(reports["transitions-le-depth-bound"].measured),
         bound=breakpoint_upper_bound(t, prof.width, prof.depth),
         verdicts=verdicts,
         overall=all(verdicts.values()),
     )
 
 
-def run_campaign(spec: CampaignSpec, trials: int, seed: int, threads: int | None = None) -> list:
-    """All trial results, in trial order regardless of worker scheduling."""
+def run_campaign(spec: CampaignSpec, trials: int, seed: int) -> list:
+    """All trial results, in trial order."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    if threads is None:
-        threads = int(os.environ.get("EXPR_AUDIT_THREADS", "1"))
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda i: run_trial(spec, seed, i), range(trials)))
     return [run_trial(spec, seed, i) for i in range(trials)]
 
 

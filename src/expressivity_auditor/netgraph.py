@@ -97,6 +97,36 @@ class Network:
                         ready.append(e.dst)
         return tuple(order)
 
+    # The network is frozen, so these are computed once per instance.
+
+    @cached_property
+    def _violations(self):
+        return tuple(validate(self))
+
+    @cached_property
+    def _depth_profile(self):
+        require_valid(self)
+        depth_of = {uid: 0 for uid in self.input_ids}
+        for uid in self.topo_order:
+            depth_of[uid] = 1 + max(depth_of[e.src] for e in self.in_edges[uid])
+        d = max((depth_of[u.uid] for u in self.units), default=0)
+        layers = tuple(
+            tuple(u.uid for u in self.units if depth_of[u.uid] == level) for level in range(1, d + 1)
+        )
+        widths = tuple(len(layer) for layer in layers)
+        width = Fraction(len(self.units), d) if d else Fraction(0)
+        return DepthProfile({u.uid: depth_of[u.uid] for u in self.units}, d, layers, widths, width)
+
+    @cached_property
+    def _ancestors(self):
+        """Per hidden unit, the hidden units with a directed path into it."""
+        require_valid(self)
+        anc = {}
+        for uid in self.topo_order:
+            srcs = [e.src for e in self.in_edges[uid] if e.src in self.unit_map]
+            anc[uid] = frozenset(srcs).union(*(anc[s] for s in srcs))
+        return anc
+
 
 @dataclass(frozen=True, eq=False)
 class DepthProfile:
@@ -204,44 +234,27 @@ def validate(net: Network) -> list:
 
 
 def require_valid(net: Network) -> None:
-    violations = validate(net)
-    if violations:
-        raise ValidationError("; ".join(violations))
+    if net._violations:
+        raise ValidationError("; ".join(net._violations))
 
 
 def depth_profile(net: Network) -> DepthProfile:
     """Unit depths by longest path from any input, layer partition, and the
     exact rational width |hidden| / depth."""
-    require_valid(net)
-    depth_of = {uid: 0 for uid in net.input_ids}
-    for uid in net.topo_order:
-        depth_of[uid] = 1 + max(depth_of[e.src] for e in net.in_edges[uid])
-    d = max((depth_of[u.uid] for u in net.units), default=0)
-    layers = tuple(
-        tuple(u.uid for u in net.units if depth_of[u.uid] == level) for level in range(1, d + 1)
-    )
-    widths = tuple(len(layer) for layer in layers)
-    width = Fraction(len(net.units), d) if d else Fraction(0)
-    return DepthProfile({u.uid: depth_of[u.uid] for u in net.units}, d, layers, widths, width)
+    return net._depth_profile
 
 
 def hidden_ancestors(net: Network, units) -> frozenset:
     """Hidden units lying on a directed path from an input to any unit of
     `units`, excluding `units` itself. These are exactly the hidden units with
-    a directed path into the set (every valid unit is input-reachable)."""
+    a directed path into the set (every valid unit is input-reachable).
+    Raises ValidationError when the network is not valid."""
     target = frozenset(units)
     unknown = target - set(net.unit_map)
     if unknown:
         raise ValueError(f"unknown unit ids: {sorted(unknown)}")
-    seen = set()
-    frontier = list(target)
-    while frontier:
-        uid = frontier.pop()
-        for e in net.in_edges.get(uid, ()):
-            if e.src in net.unit_map and e.src not in seen:
-                seen.add(e.src)
-                frontier.append(e.src)
-    return frozenset(seen - target)
+    anc = net._ancestors
+    return frozenset().union(*(anc[u] for u in target)) - target
 
 
 def forward(net: Network, x) -> ForwardResult:

@@ -133,12 +133,61 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
 
     A junction at b with pieces (sl, il) and (sr, ir) is dissolved iff
     |sl - sr| <= 1e-9 * max(1, |sl|, |sr|) and the one-sided values differ by
-    at most 1e-9 * max(1, |value|). Idempotent.
+    at most 1e-9 * max(1, |value|). Junctions are visited left to right and a
+    dissolved junction keeps the left piece's parameters, so inside a run of
+    dissolved junctions every piece is compared with the run's first piece.
+    Idempotent.
     """
-    knots = [0.0, *f.breakpoints.tolist(), 1.0]
-    pieces = list(zip(f.slopes.tolist(), f.intercepts.tolist()))
+    if not f.breakpoints.size:
+        return f
+    knots = np.concatenate(([0.0], f.breakpoints, [1.0]))
+    slopes, intercepts = f.slopes, f.intercepts
+    if (knots[1:] - knots[:-1] <= COALESCE_TOL).any():
+        knots, slopes, intercepts = _drop_slivers(knots, slopes, intercepts)
+    b = knots[1:-1]
+    merge = _same_line(slopes[:-1], intercepts[:-1], slopes[1:], intercepts[1:], b)
+    if not merge.any():
+        if knots.size == f.breakpoints.size + 2:
+            return f
+        return PwlFunction1D(b, slopes, intercepts)
+    # While a run's first piece equals the piece left of a junction, the
+    # adjacent test in `merge` is the sequential one. That holds at the start
+    # of every run and along runs of identical pieces, so only a merge of two
+    # different pieces starts a walk; the walk lasts until the run ends or
+    # reaches a piece equal to its first one.
+    keep = ~merge
+    same = (slopes[:-1] == slopes[1:]) & (intercepts[:-1] == intercepts[1:])
+    resume = 0
+    for j in np.flatnonzero(merge & ~same).tolist():
+        if j < resume:
+            continue
+        sh, ih = slopes[j], intercepts[j]
+        k = j + 1
+        while k < b.size and (slopes[k] != sh or intercepts[k] != ih):
+            keep[k] = not _same_line(sh, ih, slopes[k + 1], intercepts[k + 1], b[k])
+            k += 1
+            if keep[k - 1]:
+                break
+        resume = k
+    pieces = np.concatenate(([True], keep))
+    return PwlFunction1D(b[keep], slopes[pieces], intercepts[pieces])
 
-    # Pass 1: drop sliver pieces. Absorb leftward except at the left edge.
+
+def _same_line(sl, il, sr, ir, b):
+    """The junction merge test of `normalize`, elementwise or on scalars."""
+    vl = sl * b + il
+    vr = sr * b + ir
+    tol_slope = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(sl), np.abs(sr)))
+    tol_value = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(vl), np.abs(vr)))
+    return (np.abs(sl - sr) <= tol_slope) & (np.abs(vl - vr) <= tol_value)
+
+
+def _drop_slivers(knots, slopes, intercepts):
+    """Pass 1 of `normalize`: drop pieces no wider than COALESCE_TOL, one at
+    a time from the left, absorbing each into its left neighbour (into its
+    right one at the left edge)."""
+    knots = knots.tolist()
+    pieces = list(zip(slopes.tolist(), intercepts.tolist()))
     changed = True
     while changed and len(pieces) > 1:
         changed = False
@@ -152,24 +201,8 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
                     del knots[j]
                 changed = True
                 break
-
-    # Pass 2: merge collinear junctions, keeping the left piece's parameters.
-    out_pieces = [pieces[0]]
-    out_breaks = []
-    for j in range(1, len(pieces)):
-        b = knots[j]
-        sl, il = out_pieces[-1]
-        sr, ir = pieces[j]
-        vl = sl * b + il
-        vr = sr * b + ir
-        tol_slope = MERGE_RTOL * max(1.0, abs(sl), abs(sr))
-        tol_value = MERGE_RTOL * max(1.0, abs(vl), abs(vr))
-        if abs(sl - sr) <= tol_slope and abs(vl - vr) <= tol_value:
-            continue
-        out_breaks.append(b)
-        out_pieces.append((sr, ir))
-    slopes, intercepts = zip(*out_pieces)
-    return PwlFunction1D(np.array(out_breaks), np.array(slopes), np.array(intercepts))
+    sl, ic = zip(*pieces)
+    return np.array(knots), np.array(sl), np.array(ic)
 
 
 def affine_combine(coeffs, fs, bias=0.0) -> PwlFunction1D:
@@ -194,44 +227,21 @@ def affine_combine(coeffs, fs, bias=0.0) -> PwlFunction1D:
     return normalize(PwlFunction1D(merged, slopes, intercepts))
 
 
-def _cut_by_activation(act, f: PwlFunction1D):
-    """Subdivide [0, 1] so the activation state of f is constant per cell.
+def activate(act, f: PwlFunction1D):
+    """Compose act with f in one cut: (normalized act(f(alpha)), state trace).
 
-    Yields (lo, hi, state, slope, intercept) with (slope, intercept) the piece
-    of f on the cell. States at crossing points follow the right-continuous
+    [0, 1] is cut at the knots of f and wherever a piece of f crosses an
+    activation boundary strictly inside it, so the activation state is
+    constant on each cell. New breakpoints of the output appear only there;
+    jumps of the activation become jump breakpoints. A cell's state is taken
+    at its midpoint, which gives crossing points the right-continuous
     boundary convention of the activation combined with the carrier's
     left-closed pieces.
-    """
-    boundaries = np.asarray(act.boundaries, dtype=float)
-    knots = np.concatenate(([0.0], f.breakpoints, [1.0]))
-    cells = []
-    for j in range(f.n_pieces):
-        lo, hi = knots[j], knots[j + 1]
-        if hi <= lo:
-            continue
-        a, c = float(f.slopes[j]), float(f.intercepts[j])
-        if a == 0.0 or boundaries.size == 0:
-            state = int(act.state_of(c if a == 0.0 else a * 0.5 * (lo + hi) + c))
-            cells.append((lo, hi, state, a, c))
-            continue
-        with np.errstate(over="ignore"):  # near-zero slopes push crossings to inf
-            crossings = (boundaries - c) / a
-        crossings = np.sort(crossings[(crossings > lo) & (crossings < hi)])
-        cuts = np.concatenate(([lo], crossings, [hi]))
-        for k in range(cuts.size - 1):
-            clo, chi = float(cuts[k]), float(cuts[k + 1])
-            if chi <= clo:
-                continue
-            state = int(act.state_of(a * 0.5 * (clo + chi) + c))
-            cells.append((clo, chi, state, a, c))
-    return cells
 
-
-def apply_activation(act, f: PwlFunction1D) -> PwlFunction1D:
-    """Normalized composition act(f(alpha)).
-
-    New breakpoints appear only where f crosses an activation boundary or at
-    existing breakpoints of f; jumps of the activation become jump breakpoints.
+    The trace lists the states over [0, 1] as (state, lo, hi) intervals that
+    tile [0, 1] in order, adjacent intervals carrying distinct states, so
+    every interior junction is a state change and the number of junctions is
+    the raw per-unit transition count.
     """
     if not hasattr(act, "boundaries"):
         from .errors import UnsupportedActivationError
@@ -239,35 +249,43 @@ def apply_activation(act, f: PwlFunction1D) -> PwlFunction1D:
         raise UnsupportedActivationError(
             f"activation {getattr(act, 'name', act)!r} has no piecewise-linear structure"
         )
-    breaks = []
-    slopes = []
-    intercepts = []
-    act_slopes = np.asarray(act.slopes, dtype=float)
-    act_intercepts = np.asarray(act.intercepts, dtype=float)
-    for lo, hi, state, a, c in _cut_by_activation(act, f):
-        m = act_slopes[state - 1]
-        q = act_intercepts[state - 1]
-        if lo > 0.0:
-            breaks.append(lo)
-        slopes.append(m * a)
-        intercepts.append(m * c + q)
-    return normalize(PwlFunction1D(np.array(breaks), np.array(slopes), np.array(intercepts)))
+    knots = np.concatenate(([0.0], f.breakpoints, [1.0]))
+    cuts = knots
+    if act.boundaries.size:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # near-zero slopes push crossings to inf; zero slopes give inf/nan
+            crossings = (act.boundaries[None, :] - f.intercepts[:, None]) / f.slopes[:, None]
+        inside = (
+            (crossings > knots[:-1, None])
+            & (crossings < knots[1:, None])
+            & (f.slopes != 0.0)[:, None]
+        )
+        if inside.any():
+            cuts = np.sort(np.concatenate((knots, crossings[inside])))
+    cell = cuts[1:] > cuts[:-1]  # coinciding crossings leave empty cells
+    lo, hi = cuts[:-1][cell], cuts[1:][cell]
+    piece = f.breakpoints.searchsorted(lo, side="right")
+    a, c = f.slopes[piece], f.intercepts[piece]
+    # regrouping a * 0.5 * (lo + hi) moves states for subnormal slopes
+    state = act.boundaries.searchsorted(a * 0.5 * (lo + hi) + c, side="right")
+    m, q = act.slopes[state], act.intercepts[state]
+    output = normalize(PwlFunction1D(lo[lo > 0.0], m * a, m * c + q))
+
+    first = np.concatenate(([True], state[1:] != state[:-1])).nonzero()[0]
+    last = np.concatenate((first[1:] - 1, [state.size - 1]))
+    trace = list(zip((state[first] + 1).tolist(), lo[first].tolist(), hi[last].tolist()))
+    return output, trace
+
+
+def apply_activation(act, f: PwlFunction1D) -> PwlFunction1D:
+    """Normalized composition act(f(alpha)); see `activate`."""
+    return activate(act, f)[0]
 
 
 def state_trace(act, f: PwlFunction1D):
-    """Activation states of f over [0, 1] as a list of (state, lo, hi).
-
-    Intervals tile [0, 1] in order and adjacent intervals always carry distinct
-    states, so every interior junction is a state change. The number of
-    junctions is the raw per-unit transition count.
-    """
-    trace = []
-    for lo, hi, state, _, _ in _cut_by_activation(act, f):
-        if trace and trace[-1][0] == state:
-            trace[-1] = (state, trace[-1][1], hi)
-        else:
-            trace.append((state, lo, hi))
-    return trace
+    """Activation states of f over [0, 1] as a list of (state, lo, hi); see
+    `activate`."""
+    return activate(act, f)[1]
 
 
 def state_change_points(trace) -> np.ndarray:

@@ -70,8 +70,8 @@ def restrict(net: Network, seg: Segment) -> LineRestriction:
             [e.weight for e in in_edges], [fns[e.src] for e in in_edges], bias=unit.bias
         )
         pre_activation[uid] = pre
-        state_traces[uid] = pwl.state_trace(unit.activation, pre)
-        fns[uid] = unit_output[uid] = pwl.apply_activation(unit.activation, pre)
+        out, state_traces[uid] = pwl.activate(unit.activation, pre)
+        fns[uid] = unit_output[uid] = out
     out_edges = net.in_edges[OUTPUT_ID]
     if out_edges:
         output = pwl.affine_combine(
@@ -88,20 +88,14 @@ def break_points(r: LineRestriction) -> int:
     return r.output.n_breakpoints
 
 
-def _clusters(points: np.ndarray) -> list:
-    """Group sorted event points by consecutive linkage at the tolerance."""
-    if points.size == 0:
-        return []
-    splits = np.nonzero(np.diff(points) > COINCIDENCE_TOL)[0] + 1
-    return [(chunk[0], chunk[-1]) for chunk in np.split(points, splits)]
-
-
 def transitions(r: LineRestriction, units) -> int:
     """N(U): state-vector changes of U at alphas where no unit of in(U)
     changes state (within the coincidence tolerance), counted on (0,1).
 
-    Simultaneous changes of several members count once; with in(U) empty every
-    state-vector change counts.
+    The sorted change points of U are grouped into clusters by consecutive
+    linkage at the tolerance; a cluster counts once, unless a change point of
+    in(U) lies within the tolerance of it. So simultaneous changes of several
+    members count once; with in(U) empty every state-vector change counts.
     """
     U = frozenset(units)
     unknown = U - set(r.net.unit_map)
@@ -112,19 +106,19 @@ def transitions(r: LineRestriction, units) -> int:
     own = np.sort(np.concatenate([r.change_points[u] for u in U]))
     if own.size == 0:
         return 0
+    gap = np.flatnonzero(np.diff(own) > COINCIDENCE_TOL)
+    n_clusters = gap.size + 1
     in_u = hidden_ancestors(r.net, U)
-    suppressors = (
-        np.sort(np.concatenate([r.change_points[u] for u in in_u]))
-        if in_u
-        else np.empty(0)
-    )
-    count = 0
-    for lo, hi in _clusters(own):
-        i = np.searchsorted(suppressors, lo - COINCIDENCE_TOL, side="left")
-        if i < suppressors.size and suppressors[i] <= hi + COINCIDENCE_TOL:
-            continue
-        count += 1
-    return count
+    if not in_u:
+        return n_clusters
+    suppressors = np.sort(np.concatenate([r.change_points[u] for u in in_u]))
+    if suppressors.size == 0:
+        return n_clusters
+    lo = own[np.concatenate(([0], gap + 1))]
+    hi = own[np.concatenate((gap, [own.size - 1]))]
+    i = np.searchsorted(suppressors, lo - COINCIDENCE_TOL, side="left")
+    hit = suppressors[np.minimum(i, suppressors.size - 1)] <= hi + COINCIDENCE_TOL
+    return n_clusters - int(np.count_nonzero(hit & (i < suppressors.size)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -248,3 +248,12 @@ def test_bound_config_validation():
         BoundConfig(t=0)
     with pytest.raises(ValueError):
         BoundConfig(alpha_grid=0)
+
+
+def test_bound_config_needs_two_grid_points():
+    # one grid point has no cell to refine in: the step 1 / (alpha_grid - 1)
+    # used to divide by zero
+    with pytest.raises(ValueError, match="alpha_grid must be >= 2"):
+        BoundConfig(alpha_grid=1)
+    res = min_curvature(catalog("sq_norm"), [0.0, 0.0], [1.0, 1.0], BoundConfig(alpha_grid=2))
+    assert res.value == pytest.approx(2.0**0.5)

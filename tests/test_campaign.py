@@ -36,13 +36,6 @@ def test_campaign_deterministic_and_ordered():
     assert csv_text(res) == csv_text(res2)
 
 
-def test_campaign_threads_match_serial():
-    spec = CampaignSpec()
-    serial = run_campaign(spec, 16, seed=5, threads=1)
-    threaded = run_campaign(spec, 16, seed=5, threads=4)
-    assert csv_text(serial) == csv_text(threaded)
-
-
 def test_activation_alternation():
     spec = CampaignSpec()
     res = run_campaign(spec, 8, seed=1)

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -245,6 +246,16 @@ def test_nan_inline_activation_exits_one(capsys, tmp_path, tent2_path):
     rc, out, err = run(capsys, ["analyze", "--net", str(path)])
     assert (rc, out) == (1, "")
     assert err.startswith("error: non-finite activation slopes")
+
+
+def test_one_point_alpha_grid_exits_one(capsys, monkeypatch):
+    # the CLI has no grid flag, so give every BoundConfig a one-point grid
+    from expressivity_auditor import cli
+
+    monkeypatch.setattr(cli, "BoundConfig", functools.partial(cli.BoundConfig, alpha_grid=1))
+    rc, out, err = run(capsys, ["lower-bound", "--target", "sq_norm"])
+    assert (rc, out) == (1, "")
+    assert err == "error: alpha_grid must be >= 2: the grid needs both segment ends\n"
 
 
 def test_missing_required_flag(capsys):
