@@ -160,14 +160,14 @@ def curvature_breakpoint_audit(
 
 
 def laplacian_breakpoint_audit(
-    g: TargetFunction, seg: Segment, f1d: pwl.PwlFunction1D, eps: float, grid: int = 129
+    g: TargetFunction, seg: Segment, f1d: pwl.PwlFunction1D, eps: float
 ) -> AuditReport:
     """Check breakpoints(f1d) >= sqrt((max|lap|/n - d3*n^1.5)+ / (16 eps)) - 1
     for targets on the unit box."""
     if not (np.allclose(g.domain.lo, 0.0) and np.allclose(g.domain.hi, 1.0)):
         raise ValueError("this floor is stated on the unit box domain")
     e = _measured_eps(f1d, g, seg, eps)
-    max_lap, _ = max_abs_laplacian(g, grid)
+    max_lap, _ = max_abs_laplacian(g)
     inner = max(0.0, max_lap / g.n - g.third_bound * g.n**1.5)
     if inner <= 0.0:
         rhs = -1.0
@@ -215,11 +215,10 @@ def swap_audit(net: Network, act1, act2, A: float, sampler: Sampler | None = Non
     r1 = forward(net1, x)
     r2 = forward(net2, x)
     emp = float(np.max(np.abs(r1.output - r2.output)))
-    pre = np.concatenate(
-        [v.ravel() for v in r1.pre_activations.values()]
-        + [v.ravel() for v in r2.pre_activations.values()]
-    )
-    g = activations.gap(act1, act2, float(pre.min()) - 0.5, float(pre.max()) + 0.5)
+    pre = [*r1.pre_activations.values(), *r2.pre_activations.values()]
+    lo = float(np.min([v.min() for v in pre]))
+    hi = float(np.max([v.max() for v in pre]))
+    g = activations.gap(act1, act2, lo - 0.5, hi + 0.5)
     delta = activations.lipschitz_constant(act1)
     prof = depth_profile(net)
     bound = activation_swap_bound(delta, A, prof.width, prof.depth, g)

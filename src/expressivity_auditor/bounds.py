@@ -38,7 +38,6 @@ class BoundConfig:
     alpha_grid: int = 1025
     refine_iters: int = 40
     pair_samples: int = 256
-    corner_pairs: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -160,9 +159,10 @@ def _clamped_curvature(h: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, gamma * sign)
 
 
-# Cap on the points per g.hessian call: 1025-point grids go 63 segments at a
-# time, and refinement takes at most this many segments at once, so peak
-# memory does not grow with the pair count.
+# Cap on the points per g.hessian call in the grid scan, the one stage whose
+# memory scales with alpha_grid: 1025-point grids go 63 segments at a time.
+# Refinement and the final Hessian take one point per segment, so they stay
+# proportional to the endpoint arrays themselves.
 HESSIAN_BATCH_POINTS = 2**16
 
 
@@ -178,12 +178,6 @@ def _segment_curvatures(g: TargetFunction, X: np.ndarray, Y: np.ndarray, cfg: Bo
     fields alike.
     """
     P = len(X)
-    if P > HESSIAN_BATCH_POINTS:
-        parts = [
-            _segment_curvatures(g, X[s:s + HESSIAN_BATCH_POINTS], Y[s:s + HESSIAN_BATCH_POINTS], cfg)
-            for s in range(0, P, HESSIAN_BATCH_POINTS)
-        ]
-        return tuple(np.concatenate(field) for field in zip(*parts))
     D = Y - X
     alphas = np.linspace(0.0, 1.0, cfg.alpha_grid)
     best_a = np.empty(P)
@@ -254,14 +248,12 @@ def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> 
     Hessians; the polish stays sequential, one min_curvature call per probe.
     """
     cfg = cfg or BoundConfig()
-    pairs = []
-    if cfg.corner_pairs:
-        corners = g.domain.corners()
-        pairs.extend(
-            (corners[i], corners[j])
-            for i in range(len(corners))
-            for j in range(i + 1, len(corners))
-        )
+    corners = g.domain.corners()
+    pairs = [
+        (corners[i], corners[j])
+        for i in range(len(corners))
+        for j in range(i + 1, len(corners))
+    ]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.pair_samples):
         x = g.domain.sample(rng, 1)[0]
@@ -342,14 +334,14 @@ def depth_scaled_lower_bound(
     return q * d_f * epsilon ** (-1.0 / (2.0 * d_f))
 
 
-def max_abs_laplacian(g: TargetFunction, grid: int = 129):
+# Grid points per axis of the Laplacian scan; above two dimensions the axes
+# shrink so that the scan stays near 1e5 points.
+LAPLACIAN_GRID = 129
+
+
+def max_abs_laplacian(g: TargetFunction):
     """(max |trace hessian|, argmax point): grid scan plus coordinate ascent."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    if g.n <= 2:
-        per_axis = grid
-    else:
-        per_axis = max(2, min(grid, int(round(100000 ** (1.0 / g.n)))))
+    per_axis = max(2, min(LAPLACIAN_GRID, int(round(100000 ** (1.0 / g.n)))))
     axes = [np.linspace(g.domain.lo[i], g.domain.hi[i], per_axis) for i in range(g.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -364,7 +356,7 @@ def max_abs_laplacian(g: TargetFunction, grid: int = 129):
     return float(v), np.asarray(p, dtype=float)
 
 
-def laplacian_lower_bound(g: TargetFunction, epsilon: float, t: int, grid: int = 129) -> LaplacianBound:
+def laplacian_lower_bound(g: TargetFunction, epsilon: float, t: int) -> LaplacianBound:
     """Floor sqrt((max|lap(g)|/n - delta3 * n^(3/2))+ / 16) on the piece-count
     multiplier, and the matching log_t hidden-unit floor.
 
@@ -373,7 +365,7 @@ def laplacian_lower_bound(g: TargetFunction, epsilon: float, t: int, grid: int =
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    max_lap, at = max_abs_laplacian(g, grid)
+    max_lap, at = max_abs_laplacian(g)
     n = g.n
     inner = max(0.0, max_lap / n - g.third_bound * n**1.5)
     multiplier = math.sqrt(inner / 16.0)

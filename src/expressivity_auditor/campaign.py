@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .activations import builtin_activation, piece_count
-from .bounds import breakpoint_upper_bound
+from .activations import builtin_activation
 from .netgraph import Segment, depth_profile, random_network
 from .report import PASS
 from .restriction import audit_transition_inequalities, break_points, restrict
@@ -117,18 +116,18 @@ def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
     reports = {rep.kind: rep for rep in audit_transition_inequalities(r)}
     verdicts = {kind: rep.verdict == PASS for kind, rep in reports.items()}
     prof = depth_profile(net)
-    t = piece_count(act)
+    ceiling = reports["transitions-le-depth-bound"]
     return TrialResult(
         trial=i,
         seed=master_seed,
         n=n,
-        t=t,
+        t=ceiling.parameters["t"],
         n_hidden=len(net.units),
         depth=prof.depth,
         omega=prof.width,
         breakpoints=break_points(r),
-        transitions_all=int(reports["transitions-le-depth-bound"].measured),
-        bound=breakpoint_upper_bound(t, prof.width, prof.depth),
+        transitions_all=int(ceiling.measured),
+        bound=ceiling.bound,
         verdicts=verdicts,
         overall=all(verdicts.values()),
     )

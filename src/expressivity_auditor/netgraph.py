@@ -176,7 +176,6 @@ class ForwardResult:
     output: Any
     unit_outputs: dict
     pre_activations: dict
-    unit_states: dict | None
 
 
 def validate(net: Network) -> list:
@@ -261,8 +260,7 @@ def forward(net: Network, x) -> ForwardResult:
     """Evaluate the network at x (shape (n,) for one point or (m, n) batched).
 
     Hidden unit v computes act(sum_u w(u, v) * out(u) + bias(v)); the output
-    unit weight-sums its in-edges plus output_bias. unit_states holds the
-    activation state per piecewise-linear unit (None when there are none).
+    unit weight-sums its in-edges plus output_bias.
     """
     require_valid(net)
     x = np.asarray(x, dtype=float)
@@ -273,7 +271,6 @@ def forward(net: Network, x) -> ForwardResult:
         raise ValueError(f"expected points of dimension {net.n_inputs}")
     values = {uid: x[:, i] for i, uid in enumerate(net.input_ids)}
     pre_acts = {}
-    states = {}
     for uid in net.topo_order:
         unit = net.unit_map[uid]
         pre = np.full(x.shape[0], unit.bias)
@@ -281,8 +278,6 @@ def forward(net: Network, x) -> ForwardResult:
             pre = pre + e.weight * values[e.src]
         pre_acts[uid] = pre
         values[uid] = unit.activation.value(pre)
-        if isinstance(unit.activation, PwlActivation):
-            states[uid] = unit.activation.state_of(pre)
     out = np.full(x.shape[0], float(net.output_bias))
     for e in net.in_edges[OUTPUT_ID]:
         out = out + e.weight * values[e.src]
@@ -291,8 +286,7 @@ def forward(net: Network, x) -> ForwardResult:
         out = float(out[0])
         unit_outputs = {k: float(v[0]) for k, v in unit_outputs.items()}
         pre_acts = {k: float(v[0]) for k, v in pre_acts.items()}
-        states = {k: int(v[0]) for k, v in states.items()}
-    return ForwardResult(out, unit_outputs, pre_acts, states or None)
+    return ForwardResult(out, unit_outputs, pre_acts)
 
 
 def random_network(

@@ -142,8 +142,15 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
         return f
     knots = np.concatenate(([0.0], f.breakpoints, [1.0]))
     slopes, intercepts = f.slopes, f.intercepts
-    if (knots[1:] - knots[:-1] <= COALESCE_TOL).any():
-        knots, slopes, intercepts = _drop_slivers(knots, slopes, intercepts)
+    wide = knots[1:] - knots[:-1] > COALESCE_TOL
+    if not wide.all():
+        # A sliver is absorbed by its left neighbour, except at the left
+        # edge, where the first piece reaching past COALESCE_TOL absorbs
+        # every piece before it (those are all slivers).
+        wide[np.argmax(knots[1:] > COALESCE_TOL)] = True
+        kept = np.flatnonzero(wide)
+        knots = np.concatenate(([0.0], knots[kept[1:]], [1.0]))
+        slopes, intercepts = slopes[kept], intercepts[kept]
     b = knots[1:-1]
     merge = _same_line(slopes[:-1], intercepts[:-1], slopes[1:], intercepts[1:], b)
     if not merge.any():
@@ -180,29 +187,6 @@ def _same_line(sl, il, sr, ir, b):
     tol_slope = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(sl), np.abs(sr)))
     tol_value = MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(vl), np.abs(vr)))
     return (np.abs(sl - sr) <= tol_slope) & (np.abs(vl - vr) <= tol_value)
-
-
-def _drop_slivers(knots, slopes, intercepts):
-    """Pass 1 of `normalize`: drop pieces no wider than COALESCE_TOL, one at
-    a time from the left, absorbing each into its left neighbour (into its
-    right one at the left edge)."""
-    knots = knots.tolist()
-    pieces = list(zip(slopes.tolist(), intercepts.tolist()))
-    changed = True
-    while changed and len(pieces) > 1:
-        changed = False
-        for j in range(len(pieces)):
-            if knots[j + 1] - knots[j] <= COALESCE_TOL:
-                if j == 0:
-                    del pieces[0]
-                    del knots[1]
-                else:
-                    del pieces[j]
-                    del knots[j]
-                changed = True
-                break
-    sl, ic = zip(*pieces)
-    return np.array(knots), np.array(sl), np.array(ic)
 
 
 def affine_combine(coeffs, fs, bias=0.0) -> PwlFunction1D:

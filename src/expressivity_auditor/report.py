@@ -3,13 +3,12 @@
 Every numeric check in the package reports through AuditReport so the CLI and
 the campaign CSV can serialize them uniformly. Upper-bound audits pass when
 measured <= bound, lower-bound audits when measured >= bound, both within the
-stated tolerance. Search-based estimates that carry no pass/fail semantics use
-the verdict "estimate".
+stated tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -17,7 +16,6 @@ import numpy as np
 
 PASS = "pass"
 FAIL = "fail"
-ESTIMATE = "estimate"
 
 
 @dataclass(frozen=True)
@@ -58,12 +56,6 @@ def lower_audit(kind, measured, bound, parameters=None, tol=0.0, provenance=""):
     margin = measured - bound
     verdict = PASS if margin >= -tol else FAIL
     return AuditReport(kind, dict(parameters or {}), measured, bound, margin, verdict, provenance)
-
-
-def estimate_report(kind, value, parameters=None, provenance=""):
-    """A search result reported without pass/fail semantics."""
-    value = float(value)
-    return AuditReport(kind, dict(parameters or {}), value, value, 0.0, ESTIMATE, provenance)
 
 
 def _json_safe(v):

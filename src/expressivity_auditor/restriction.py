@@ -143,13 +143,12 @@ def transition_counts(r: LineRestriction) -> TransitionCount:
     return TransitionCount(raw, filtered)
 
 
-def _worst(kind, instances, tol=0.0):
+def _worst(kind, instances):
     """One report per inequality kind, carrying its tightest instance."""
     if not instances:
         return upper_audit(kind, 0.0, 0.0, parameters={"instances": 0})
     label, measured, bound = min(instances, key=lambda it: it[2] - it[1])
-    rep = upper_audit(kind, float(measured), float(bound), parameters=label, tol=tol)
-    return rep
+    return upper_audit(kind, float(measured), float(bound), parameters=label)
 
 
 def audit_transition_inequalities(r: LineRestriction) -> list:

@@ -110,11 +110,6 @@ class TargetFunction:
         return np.trace(h, axis1=-2, axis2=-1)
 
 
-def laplacian(g: TargetFunction, x):
-    """Trace of the Hessian at x."""
-    return g.laplacian(x)
-
-
 def _sq_norm(n: int) -> TargetFunction:
     eye2 = 2.0 * np.eye(n)
 

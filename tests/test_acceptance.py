@@ -1,9 +1,12 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Each test prints a single pass/fail line. Criteria 1 and 2 share one
-1000-trial campaign (module-scoped fixture) so the suite stays fast.
+Each test prints a single pass/fail line. Criteria 1 and 2 and the golden
+CSV bytes share one 1000-trial campaign (module-scoped fixture) so the suite
+stays fast.
 """
 
+import hashlib
+import io
 import math
 import time
 
@@ -30,11 +33,14 @@ from expressivity_auditor import (
     swap_audit,
     uniform_interpolant_1d,
     violations,
+    write_csv,
 )
 from conftest import build_tent2
 
 SEED = 42
 TRIALS = 1000
+# MD5 of the `verify --trials 1000 --seed 42` CSV
+GOLDEN_CSV_MD5 = "a3ce25a54895f1548128869b5feeae49"
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +83,14 @@ def test_criterion_2_per_instance_audits(campaign):
            f"audit failures in {TRIALS} trials: {len(failed)}; "
            f"depth-vs-state grid t<=5, H<=30, d<=H exact-rational: "
            f"{'clean' if grid_ok else 'violated'}")
+
+
+def test_golden_campaign_csv_bytes(campaign):
+    results, _ = campaign
+    buf = io.StringIO()
+    write_csv(results, buf)
+    digest = hashlib.md5(buf.getvalue().encode()).hexdigest()
+    report("golden CSV", digest == GOLDEN_CSV_MD5, f"{TRIALS}-trial CSV md5 {digest}")
 
 
 def test_criterion_3_quadratic_tightness():

@@ -1,9 +1,10 @@
 import functools
+import hashlib
 import json
 
 import pytest
 
-from expressivity_auditor import save_network
+from expressivity_auditor import random_network, save_network
 from expressivity_auditor.cli import main
 
 
@@ -47,6 +48,11 @@ def test_analyze_json_deterministic(capsys, tent2_path):
     _, out2, _ = run(capsys, ["analyze", "--net", tent2_path, "--json"])
     assert out1 == out2
     assert out1.count("\n") == 1  # exactly one JSON line
+
+
+def test_analyze_json_bytes_frozen(capsys, tent2_path):
+    _, out, _ = run(capsys, ["analyze", "--net", tent2_path, "--json"])
+    assert hashlib.md5(out.encode()).hexdigest() == "ae28447d14bef9c7a4999da0e476f68d"
 
 
 def test_analyze_missing_file(capsys):
@@ -215,6 +221,16 @@ def test_swap_ok(capsys, tent2_path):
     doc = json.loads(out)
     assert doc["margin"] >= 0.0
     assert doc["bound"] >= doc["empirical_sup"]
+
+
+def test_swap_json_bytes_frozen(capsys, tmp_path):
+    path = tmp_path / "sigmoid.json"
+    save_network(random_network(2, 3, widths=(4, 4, 4), activation="sigmoid", seed=3), path)
+    rc, out, _ = run(capsys, ["swap", "--net", str(path), "--act1", "sigmoid",
+                              "--act2", "sigmoid-q(16)", "--A", "1",
+                              "--samples", "2000", "--json"])
+    assert rc == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "ead26d357fb6b306dff4acc8df270c1f"
 
 
 def test_swap_weight_cap_violation(capsys, tent2_path):

@@ -149,14 +149,6 @@ def test_forward_batch_shapes(fig1_net):
         assert forward(fig1_net, x[i]).output == pytest.approx(res.output[i], abs=1e-12)
 
 
-def test_forward_states_match_pre_activations(fig1_net):
-    x = np.random.default_rng(1).random((5, 3))
-    res = forward(fig1_net, x)
-    for uid, pre in res.pre_activations.items():
-        act = fig1_net.unit_map[uid].activation
-        assert np.array_equal(res.unit_states[uid], act.state_of(pre))
-
-
 def test_forward_dimension_mismatch(fig1_net):
     with pytest.raises(ValueError):
         forward(fig1_net, [1.0, 2.0])

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expressivity_auditor.linalg import eig2
-from expressivity_auditor.report import (
-    AuditReport,
-    estimate_report,
-    lower_audit,
-    upper_audit,
-)
+from expressivity_auditor.report import AuditReport, lower_audit, upper_audit
 from expressivity_auditor.search import coordinate_ascent, golden_max, golden_min
 
 
@@ -30,13 +25,6 @@ def test_lower_audit_semantics():
     assert lower_audit("k", 0.5, 1.0).verdict == "fail"
     rep = lower_audit("k", 2.0, 1.0)
     assert rep.margin == 1.0
-
-
-def test_estimate_report():
-    rep = estimate_report("search", 1.5, parameters={"grid": 65})
-    assert rep.verdict == "estimate"
-    assert rep.measured == rep.bound == 1.5
-    assert rep.margin == 0.0
 
 
 def test_report_to_dict_json_safe():

@@ -213,6 +213,19 @@ def test_sliver_cells_and_breakpoints():
             assert fn_bytes(pwl.normalize(g)) == fn_bytes(ref.normalize(g))
             for act in ALL_ACTS:
                 assert_activate_matches(act, g)
+    # seeded fuzz: knots at multiples of t around 0, 1 and interior anchors,
+    # with small integer pieces half the time so junction merges meet slivers
+    for case in range(500):
+        anchors = np.concatenate(([0.0, 1.0], rng.random(2)))
+        steps = rng.integers(-4, 5, size=rng.integers(1, 10))
+        bp = np.unique(rng.choice(anchors, steps.size) + steps * t)
+        bp = bp[(bp > 0.0) & (bp < 1.0)]
+        if case % 2:
+            sl, ic = rng.integers(-1, 2, size=(2, bp.size + 1)).astype(float)
+        else:
+            sl, ic = rng.normal(size=(2, bp.size + 1))
+        g = PwlFunction1D(bp, sl, ic)
+        assert fn_bytes(pwl.normalize(g)) == fn_bytes(ref.normalize(g))
 
 
 def test_step_jumps_left_closed_right_open():

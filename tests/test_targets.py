@@ -8,7 +8,6 @@ from expressivity_auditor import (
     check_target,
     fd_gradient,
     fd_hessian,
-    laplacian,
     unit_box,
 )
 
@@ -52,14 +51,14 @@ def test_sq_norm_values():
     assert np.allclose(g.hessian([0.3, 0.4]), 2.0 * np.eye(2))
     assert g.mu == 2.0
     assert g.third_bound == 0.0
-    assert laplacian(g, [0.3, 0.4]) == pytest.approx(4.0)
+    assert g.laplacian([0.3, 0.4]) == pytest.approx(4.0)
 
 
 def test_sq_norm_any_dimension():
     g = catalog("sq_norm", 5)
     assert g.n == 5
     assert g.value(np.ones(5)) == pytest.approx(5.0)
-    assert laplacian(g, np.zeros(5)) == pytest.approx(10.0)
+    assert g.laplacian(np.zeros(5)) == pytest.approx(10.0)
 
 
 def test_poly_a_values():
@@ -69,7 +68,7 @@ def test_poly_a_values():
     h = g.hessian([1.0, 1.0])
     assert np.allclose(h, [[22.0, 4.0], [4.0, 22.0]])
     assert np.allclose(np.linalg.eigvalsh(h), [18.0, 26.0])
-    assert laplacian(g, [1.0, 1.0]) == pytest.approx(44.0)
+    assert g.laplacian([1.0, 1.0]) == pytest.approx(44.0)
     assert g.mu == 18.0
     assert g.third_bound == 4.0
 
@@ -79,7 +78,7 @@ def test_poly_g1_values():
     # indefinite hessian at the far corner: eigenvalues straddle zero
     h = g.hessian([1.0, 1.0])
     assert np.allclose(h, [[42.0, 4.0], [4.0, -2.0]])
-    assert laplacian(g, [1.0, 1.0]) == pytest.approx(40.0)
+    assert g.laplacian([1.0, 1.0]) == pytest.approx(40.0)
     assert g.mu is None
 
 
@@ -99,7 +98,7 @@ def test_catalog_rejects_bad_requests():
 def test_laplacian_batched():
     g = catalog("poly_a")
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
-    lap = laplacian(g, pts)
+    lap = g.laplacian(pts)
     assert lap.shape == (3,)
     assert lap[0] == pytest.approx(40.0)
     assert lap[1] == pytest.approx(44.0)
