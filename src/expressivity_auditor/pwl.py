@@ -27,8 +27,12 @@ import numpy as np
 # Breakpoints closer than this are treated as a single point; the sliver piece
 # between them is dropped during normalization.
 COALESCE_TOL = 1e-12
-# Relative scale for deciding that two adjacent pieces are the same line.
-MERGE_RTOL = 1e-9
+# Relative scale for deciding that two adjacent pieces are the same line. It
+# sits well above binary64 round-off and well below the smallest real jump or
+# slope change an audit must keep: merging a junction moves the function by
+# up to about MERGE_RTOL * max(1, |slope|, |value|), so at 1e-9 a scaled-down
+# jump or kink of size ~1e-9 vanished along with its break point.
+MERGE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +136,8 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
     the same line within tolerance.
 
     A junction at b with pieces (sl, il) and (sr, ir) is dissolved iff
-    |sl - sr| <= 1e-9 * max(1, |sl|, |sr|) and the one-sided values differ by
-    at most 1e-9 * max(1, |value|). Junctions are visited left to right and a
+    |sl - sr| <= MERGE_RTOL * max(1, |sl|, |sr|) and the one-sided values
+    differ by at most MERGE_RTOL * max(1, |value|). Junctions are visited left to right and a
     dissolved junction keeps the left piece's parameters, so inside a run of
     dissolved junctions every piece is compared with the run's first piece.
     Idempotent.

@@ -30,8 +30,8 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
     the same line within tolerance.
 
     A junction at b with pieces (sl, il) and (sr, ir) is dissolved iff
-    |sl - sr| <= 1e-9 * max(1, |sl|, |sr|) and the one-sided values differ by
-    at most 1e-9 * max(1, |value|). Idempotent.
+    |sl - sr| <= MERGE_RTOL * max(1, |sl|, |sr|) and the one-sided values
+    differ by at most MERGE_RTOL * max(1, |value|). Idempotent.
     """
     knots = [0.0, *f.breakpoints.tolist(), 1.0]
     pieces = list(zip(f.slopes.tolist(), f.intercepts.tolist()))

@@ -32,7 +32,7 @@ from expressivity_auditor import (
 from expressivity_auditor import netgraph
 from expressivity_auditor.cli import main
 from expressivity_auditor.errors import UnsupportedActivationError
-from expressivity_auditor.pwl import COALESCE_TOL, PwlFunction1D
+from expressivity_auditor.pwl import COALESCE_TOL, MERGE_RTOL, PwlFunction1D
 from expressivity_auditor.restriction import COINCIDENCE_TOL, LineRestriction
 
 PWL_ACTS = ("relu", "hard-tanh", "step", "leaky-relu(0.01)", "identity")
@@ -300,7 +300,8 @@ def chain(slopes, bp=(0.25, 0.5, 0.75), jumps=None):
 def test_merge_with_neighbour_but_not_run_head():
     # each junction merges its two sides, but the third piece is too far
     # from the run's first piece, so the second junction stays
-    f = chain([1.0, 1.0 + 0.8e-9, 1.0 + 1.6e-9], bp=(0.3, 0.6))
+    r = MERGE_RTOL
+    f = chain([1.0, 1.0 + 0.8 * r, 1.0 + 1.6 * r], bp=(0.3, 0.6))
     g = pwl.normalize(f)
     assert fn_bytes(g) == fn_bytes(ref.normalize(f))
     assert g.breakpoints.tolist() == [0.6]
@@ -308,18 +309,20 @@ def test_merge_with_neighbour_but_not_run_head():
 
 def test_merge_with_run_head_but_not_neighbour():
     # the second junction fails the adjacent test but merges with the head
-    f = chain([1.0, 1.0 + 0.9e-9, 1.0 - 0.9e-9], bp=(0.3, 0.6))
+    r = MERGE_RTOL
+    f = chain([1.0, 1.0 + 0.9 * r, 1.0 - 0.9 * r], bp=(0.3, 0.6))
     g = pwl.normalize(f)
     assert fn_bytes(g) == fn_bytes(ref.normalize(f))
     assert g.n_breakpoints == 0
 
 
 def test_identical_pieces_after_inexact_merge():
-    f = chain([1.0, 1.0 + 0.8e-9, 1.0 + 0.8e-9, 1.0 + 1.6e-9, 1.0 + 1.6e-9, 3.0],
+    r = MERGE_RTOL
+    f = chain([1.0, 1.0 + 0.8 * r, 1.0 + 0.8 * r, 1.0 + 1.6 * r, 1.0 + 1.6 * r, 3.0],
               bp=(0.1, 0.2, 0.3, 0.4, 0.5))
     assert fn_bytes(pwl.normalize(f)) == fn_bytes(ref.normalize(f))
-    g = chain([0.0, 0.0, 0.0, 2.0, 2.0 + 1e-9, 2.0], bp=(0.1, 0.2, 0.3, 0.4, 0.5),
-              jumps=[0.0, 5e-10, 0.0, 0.0, -5e-10])
+    g = chain([0.0, 0.0, 0.0, 2.0, 2.0 + r, 2.0], bp=(0.1, 0.2, 0.3, 0.4, 0.5),
+              jumps=[0.0, 0.5 * r, 0.0, 0.0, -0.5 * r])
     assert fn_bytes(pwl.normalize(g)) == fn_bytes(ref.normalize(g))
 
 
@@ -329,11 +332,11 @@ def test_normalize_matches_reference_near_collinear():
         m = int(rng.integers(1, 30))
         bp = np.sort(rng.choice(np.arange(1, 1000), m - 1, replace=False)) / 1000.0
         base = rng.normal(size=2) * rng.choice([1.0, 1e3])
-        steps = rng.choice([-2, -1, 0, 0, 1, 2], m) * rng.choice([0.3e-9, 0.5e-9, 0.8e-9])
+        steps = rng.choice([-2, -1, 0, 0, 1, 2], m) * rng.choice([0.3, 0.5, 0.8]) * MERGE_RTOL
         slopes = base[0] * (1.0 + np.cumsum(steps)) if rng.random() < 0.5 else base[0] + steps
         restart = rng.random(m) < 0.1
         slopes[restart] = rng.normal(size=int(restart.sum()))
-        jumps = rng.choice([0.0, 0.0, 4e-10, -4e-10, 1e-6], m - 1)
+        jumps = rng.choice([0.0, 0.0, 0.4, -0.4, 1e3], m - 1) * MERGE_RTOL
         f = chain(slopes, bp=bp, jumps=jumps)
         assert fn_bytes(pwl.normalize(f)) == fn_bytes(ref.normalize(f))
         h = [f, f.shifted(base[1])]
