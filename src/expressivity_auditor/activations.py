@@ -11,14 +11,18 @@ between two activations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import UnsupportedActivationError
+
 _NAME_RE = re.compile(r"^([a-z][a-z0-9-]*?)(?:\(([^()]*)\))?$")
 
 BUILTIN_NAMES = ("relu", "leaky-relu(a)", "hard-tanh", "step", "identity", "sigmoid", "sigmoid-q(k)")
+LIPSCHITZ_CHECK_RANGE = (-20.0, 20.0)  # where declared Lipschitz constants are spot-checked
+GAP_GRID = 4097  # grid points of the empirical activation gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +70,11 @@ class PwlActivation:
 
     __call__ = value
 
-    def is_continuous(self, tol=1e-12) -> bool:
+    def is_continuous(self) -> bool:
         b = self.boundaries
         left = self.slopes[:-1] * b + self.intercepts[:-1]
         right = self.slopes[1:] * b + self.intercepts[1:]
-        return bool(np.all(np.abs(left - right) <= tol))
+        return bool(np.all(np.abs(left - right) <= 1e-12))
 
     def __eq__(self, other):
         if not isinstance(other, PwlActivation):
@@ -108,25 +112,21 @@ class LipschitzActivation:
     """Opaque scalar activation with a declared Lipschitz constant.
 
     The constant is declared, not computed; construction spot-checks it on 1e4
-    random pairs drawn from check_range. check_slack admits activations whose
+    random pairs drawn from LIPSCHITZ_CHECK_RANGE. check_slack admits activations whose
     output is quantized: |f(a) - f(b)| <= lipschitz * |a - b| + check_slack.
     """
 
     name: str
     fn: Callable
     lipschitz: float
-    check_range: tuple = (-20.0, 20.0)
     check_slack: float = 0.0
 
     def __post_init__(self):
         if self.lipschitz <= 0.0:
             raise ValueError("lipschitz must be positive")
-        lo, hi = self.check_range
-        if not hi > lo:
-            raise ValueError("empty check range")
         rng = np.random.default_rng(1827)
-        a = rng.uniform(lo, hi, 10_000)
-        b = rng.uniform(lo, hi, 10_000)
+        a = rng.uniform(*LIPSCHITZ_CHECK_RANGE, 10_000)
+        b = rng.uniform(*LIPSCHITZ_CHECK_RANGE, 10_000)
         excess = np.abs(self.fn(a) - self.fn(b)) - self.lipschitz * np.abs(a - b)
         worst = float(np.max(excess))
         if worst > self.check_slack + 1e-9:
@@ -207,14 +207,12 @@ def builtin_activation(name: str):
     raise ValueError(f"unknown activation name {name!r}")
 
 
-def gap(act1, act2, lo=-8.0, hi=8.0, samples=4097) -> ActivationGap:
+def gap(act1, act2, lo=-8.0, hi=8.0) -> ActivationGap:
     """Empirical sup-norm distance max |act1(v) - act2(v)| on a uniform grid
-    over [lo, hi]. Monotone nondecreasing in samples for nested grids."""
+    of GAP_GRID points over [lo, hi]."""
     if not hi > lo:
         raise ValueError("empty range")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    grid = np.linspace(lo, hi, int(samples))
+    grid = np.linspace(lo, hi, GAP_GRID)
     return ActivationGap(float(np.max(np.abs(act1.value(grid) - act2.value(grid)))))
 
 
@@ -232,8 +230,6 @@ def piece_count(act) -> int:
     """t of a piecewise-linear activation."""
     if isinstance(act, PwlActivation):
         return act.t
-    from .errors import UnsupportedActivationError
-
     raise UnsupportedActivationError(f"activation {getattr(act, 'name', act)!r} has no piece count")
 
 
@@ -244,8 +240,6 @@ def lipschitz_constant(act) -> float:
         return float(act.lipschitz)
     if isinstance(act, PwlActivation):
         if not act.is_continuous():
-            from .errors import UnsupportedActivationError
-
             raise UnsupportedActivationError(f"{act.name!r} is discontinuous, no Lipschitz constant")
         return float(np.max(np.abs(act.slopes)))
     raise TypeError(f"not an activation: {act!r}")

@@ -16,32 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations, pwl
-from .bounds import activation_swap_bound, max_abs_laplacian, min_curvature, BoundConfig
+from .bounds import activation_swap_bound, max_abs_laplacian, min_curvature
 from .errors import PreconditionError
 from .netgraph import Network, Segment, Unit, depth_profile, forward, require_valid
 from .report import AuditReport, lower_audit
 from .targets import TargetFunction
 
 DENSE_PER_PIECE = 4096  # samples per linear piece for 1-D sup-error measurement
+SUP_GRID = 512  # grid points per axis for sup_error in dimensions <= 2
 
 
 @dataclass(frozen=True)
 class Sampler:
-    """Where and how densely to sample: grid points per axis for dimensions
-    <= 2, Monte Carlo sample count above, plus the box used when the callee
-    has no domain of its own (activation-swap inputs)."""
+    """Seeded Monte Carlo sample count: sup_error above two dimensions, and
+    swap_audit's inputs drawn uniformly from the unit cube."""
 
-    grid: int = 512
     samples: int = 100000
     seed: int = 0
-    lo: float = 0.0
-    hi: float = 1.0
 
     def __post_init__(self):
-        if self.grid < 2 or self.samples < 1:
-            raise ValueError("grid must be >= 2 and samples >= 1")
-        if not self.hi > self.lo:
-            raise ValueError("need hi > lo")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,14 +56,14 @@ def sup_error(f, g: TargetFunction, sampler: Sampler | None = None) -> float:
 
     f is a Network (dimensions must match) or a PwlFunction1D of a scalar
     argument (g must then be one-dimensional on [0,1]). Dimensions <= 2 use a
-    full grid of sampler.grid points per axis; higher dimensions fall back to
+    full grid of SUP_GRID points per axis; higher dimensions fall back to
     sampler.samples seeded Monte Carlo points, an under-estimate of the sup.
     """
     sampler = sampler or Sampler()
     if isinstance(f, pwl.PwlFunction1D):
         if g.n != 1:
             raise ValueError("a 1-D piecewise-linear f needs a 1-D target")
-        alphas = np.linspace(0.0, 1.0, sampler.grid)
+        alphas = np.linspace(0.0, 1.0, SUP_GRID)
         pts = g.domain.lo + alphas[:, None] * (g.domain.hi - g.domain.lo)
         return float(np.max(np.abs(f.eval(alphas) - g.value(pts))))
     if not isinstance(f, Network):
@@ -77,7 +72,7 @@ def sup_error(f, g: TargetFunction, sampler: Sampler | None = None) -> float:
         raise ValueError(f"network takes {f.n_inputs} inputs, target has {g.n}")
     if g.n <= 2:
         axes = [
-            np.linspace(g.domain.lo[i], g.domain.hi[i], sampler.grid) for i in range(g.n)
+            np.linspace(g.domain.lo[i], g.domain.hi[i], SUP_GRID) for i in range(g.n)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -87,19 +82,17 @@ def sup_error(f, g: TargetFunction, sampler: Sampler | None = None) -> float:
     return float(np.max(np.abs(forward(f, pts).output - g.value(pts))))
 
 
-def _dense_alphas(f: pwl.PwlFunction1D, per_piece: int = DENSE_PER_PIECE) -> np.ndarray:
+def _dense_alphas(f: pwl.PwlFunction1D) -> np.ndarray:
     edges = np.concatenate(([0.0], f.breakpoints, [1.0]))
     chunks = [
-        np.linspace(edges[i], edges[i + 1], per_piece) for i in range(len(edges) - 1)
+        np.linspace(edges[i], edges[i + 1], DENSE_PER_PIECE) for i in range(len(edges) - 1)
     ]
     return np.unique(np.concatenate(chunks))
 
 
-def sup_error_on_segment(
-    f: pwl.PwlFunction1D, g: TargetFunction, seg: Segment, per_piece: int = DENSE_PER_PIECE
-) -> float:
+def sup_error_on_segment(f: pwl.PwlFunction1D, g: TargetFunction, seg: Segment) -> float:
     """max |f(alpha) - g(z(alpha))| sampled densely within every linear piece."""
-    alphas = _dense_alphas(f, per_piece)
+    alphas = _dense_alphas(f)
     return float(np.max(np.abs(f.eval(alphas) - g.value(seg.point(alphas)))))
 
 
@@ -133,8 +126,7 @@ def _measured_eps(f1d, g, seg, eps) -> float:
 
 
 def curvature_breakpoint_audit(
-    g: TargetFunction, seg: Segment, f1d: pwl.PwlFunction1D, eps: float,
-    cfg: BoundConfig | None = None,
+    g: TargetFunction, seg: Segment, f1d: pwl.PwlFunction1D, eps: float
 ) -> AuditReport:
     """Check breakpoints(f1d) >= ||x-y|| * curvature / (4 sqrt(eps)) - 1.
 
@@ -143,7 +135,7 @@ def curvature_breakpoint_audit(
     sampling bias of that measurement in the equality-tight cases.
     """
     e = _measured_eps(f1d, g, seg, eps)
-    psi = min_curvature(g, seg.x, seg.y, cfg).value
+    psi = min_curvature(g, seg.x, seg.y).value
     if psi <= 0.0:
         rhs = -1.0
     elif e <= 0.0:
@@ -193,7 +185,8 @@ def swap_audit(net: Network, act1, act2, A: float, sampler: Sampler | None = Non
     """Empirical output deviation between act1- and act2-versions of one
     weight configuration, against the closed-form cap.
 
-    All edge weights must lie in [-A, A]. The activation gap entering the cap
+    Inputs are sampler.samples seeded uniform points of the unit cube. All
+    edge weights must lie in [-A, A]. The activation gap entering the cap
     is measured over the observed pre-activation range of both versions,
     padded by 0.5 on each side to cover drift between sample points.
     """
@@ -211,7 +204,7 @@ def swap_audit(net: Network, act1, act2, A: float, sampler: Sampler | None = Non
     net1 = _with_activation(net, act1)
     net2 = _with_activation(net, act2)
     rng = np.random.default_rng(sampler.seed)
-    x = sampler.lo + rng.random((sampler.samples, net.n_inputs)) * (sampler.hi - sampler.lo)
+    x = rng.random((sampler.samples, net.n_inputs))
     r1 = forward(net1, x)
     r2 = forward(net2, x)
     emp = float(np.max(np.abs(r1.output - r2.output)))

@@ -24,20 +24,25 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import eig2
-from .report import FAIL, PASS, AuditReport, upper_audit
+from .report import AuditReport, _safe_float, upper_audit
 from .search import coordinate_ascent, golden_min, golden_min_batch
 from .targets import TargetFunction
 
 
+# Search resolutions of the curvature floor: grid points per segment, golden
+# refinement steps inside the best grid cell, and random segment pairs (also
+# the positive-definiteness spot checks of the depth-scaled floor).
+ALPHA_GRID = 1025
+REFINE_ITERS = 40
+PAIR_SAMPLES = 256
+
+
 @dataclass(frozen=True)
 class BoundConfig:
-    """Search resolutions and bound parameters shared by the evaluators."""
+    """Bound parameters and the pair-sampling seed shared by the evaluators."""
 
     epsilon: float = 1e-4
     t: int = 2
-    alpha_grid: int = 1025
-    refine_iters: int = 40
-    pair_samples: int = 256
     seed: int = 0
 
     def __post_init__(self):
@@ -45,10 +50,6 @@ class BoundConfig:
             raise ValueError("epsilon must be positive")
         if self.t < 1 or self.t != int(self.t):
             raise ValueError("t must be an integer >= 1")
-        if min(self.alpha_grid, self.refine_iters, self.pair_samples) < 1:
-            raise ValueError("all search counts must be >= 1")
-        if self.alpha_grid < 2:
-            raise ValueError("alpha_grid must be >= 2: the grid needs both segment ends")
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,6 @@ class LaplacianBound:
     at_point: np.ndarray
 
 
-def _safe_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
 def breakpoint_upper_bound_exact(t: int, omega_f, d_f: int) -> Fraction:
     """((t-1)*omega + 1)^d - 1 as an exact rational."""
     if int(t) != t or t < 1:
@@ -126,13 +120,9 @@ def depth_bound_vs_state_bound(t: int, d_f: int, H: int) -> AuditReport:
         raise ValueError("need 1 <= d_f <= H")
     lhs = ((t - 1) * Fraction(H, d_f) + 1) ** int(d_f)
     rhs = Fraction(t) ** int(H)
-    return AuditReport(
-        kind="depth-bound-vs-state-bound",
+    return upper_audit(
+        "depth-bound-vs-state-bound", lhs, rhs,
         parameters={"t": int(t), "d_f": int(d_f), "n_hidden": int(H)},
-        measured=_safe_float(lhs),
-        bound=_safe_float(rhs),
-        margin=_safe_float(rhs - lhs),
-        verdict=PASS if lhs <= rhs else FAIL,
     )
 
 
@@ -160,13 +150,13 @@ def _clamped_curvature(h: np.ndarray) -> np.ndarray:
 
 
 # Cap on the points per g.hessian call in the grid scan, the one stage whose
-# memory scales with alpha_grid: 1025-point grids go 63 segments at a time.
+# memory scales with ALPHA_GRID: 1025-point grids go 63 segments at a time.
 # Refinement and the final Hessian take one point per segment, so they stay
 # proportional to the endpoint arrays themselves.
 HESSIAN_BATCH_POINTS = 2**16
 
 
-def _segment_curvatures(g: TargetFunction, X: np.ndarray, Y: np.ndarray, cfg: BoundConfig):
+def _segment_curvatures(g: TargetFunction, X: np.ndarray, Y: np.ndarray):
     """min_curvature for every row pair of the (P, n) endpoint arrays X, Y.
 
     Returns the SegmentCurvature fields as length-P arrays (value,
@@ -179,10 +169,10 @@ def _segment_curvatures(g: TargetFunction, X: np.ndarray, Y: np.ndarray, cfg: Bo
     """
     P = len(X)
     D = Y - X
-    alphas = np.linspace(0.0, 1.0, cfg.alpha_grid)
+    alphas = np.linspace(0.0, 1.0, ALPHA_GRID)
     best_a = np.empty(P)
     best_v = np.empty(P)
-    rows = max(1, HESSIAN_BATCH_POINTS // cfg.alpha_grid)
+    rows = max(1, HESSIAN_BATCH_POINTS // ALPHA_GRID)
     for s in range(0, P, rows):
         pts = X[s:s + rows, None, :] + alphas[:, None] * D[s:s + rows, None, :]
         values = _clamped_curvature(g.hessian(pts.reshape(-1, g.n))).reshape(-1, alphas.size)
@@ -191,35 +181,34 @@ def _segment_curvatures(g: TargetFunction, X: np.ndarray, Y: np.ndarray, cfg: Bo
         best_v[s:s + rows] = values[np.arange(k.size), k]
     refine = np.flatnonzero(best_v > 0.0)  # the clamp at 0 cannot be undercut
     if refine.size:
-        step = 1.0 / (cfg.alpha_grid - 1)
+        step = 1.0 / (ALPHA_GRID - 1)
         lo = np.maximum(0.0, best_a[refine] - step)
         hi = np.minimum(1.0, best_a[refine] + step)
         if P == 1:
             x, d = X[0], D[0]
             ref_a, ref_v = golden_min(
                 lambda a: float(_clamped_curvature(g.hessian(x + a * d))),
-                float(lo[0]), float(hi[0]), cfg.refine_iters,
+                float(lo[0]), float(hi[0]), REFINE_ITERS,
             )
         else:
             Xr, Dr = X[refine], D[refine]
             ref_a, ref_v = golden_min_batch(
                 lambda a: _clamped_curvature(g.hessian(Xr + a[:, None] * Dr)),
-                lo, hi, cfg.refine_iters,
+                lo, hi, REFINE_ITERS,
             )
         best_a[refine] = np.where(ref_v < best_v[refine], ref_a, best_a[refine])
     gamma, sign = _curvature_parts(g.hessian(X + best_a[:, None] * D))
     return np.sqrt(np.maximum(0.0, gamma * sign)), best_a, gamma, sign
 
 
-def min_curvature(g: TargetFunction, x, y, cfg: BoundConfig | None = None) -> SegmentCurvature:
+def min_curvature(g: TargetFunction, x, y) -> SegmentCurvature:
     """Curvature infimum along the segment from x to y.
 
-    Scans cfg.alpha_grid uniform points, then golden-section refines inside
-    the bracketing grid cell; keeps whichever is lower. The reported fields
-    are all evaluated at the final alpha, so value**2 equals the clamped
+    Scans ALPHA_GRID uniform points, then golden-section refines inside the
+    bracketing grid cell; keeps whichever is lower. The reported fields are
+    all evaluated at the final alpha, so value**2 equals the clamped
     curvature there exactly.
     """
-    cfg = cfg or BoundConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape or x.size != g.n:
@@ -228,15 +217,15 @@ def min_curvature(g: TargetFunction, x, y, cfg: BoundConfig | None = None) -> Se
         raise ValueError("degenerate segment: x == y")
     if not (g.domain.contains(x) and g.domain.contains(y)):
         raise ValueError("segment endpoints outside the domain")
-    value, alpha, gamma, sign = _segment_curvatures(g, x[None, :], y[None, :], cfg)
+    value, alpha, gamma, sign = _segment_curvatures(g, x[None, :], y[None, :])
     return SegmentCurvature(float(value[0]), float(alpha[0]), float(gamma[0]), int(sign[0]))
 
 
-def _pair_value(g, cfg, x, y) -> float:
+def _pair_value(g, x, y) -> float:
     dist = float(np.linalg.norm(y - x))
     if dist < 1e-9:
         return 0.0
-    return dist * min_curvature(g, x, y, cfg).value / 4.0
+    return dist * min_curvature(g, x, y).value / 4.0
 
 
 def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> CurvatureBound:
@@ -255,14 +244,14 @@ def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> 
         for j in range(i + 1, len(corners))
     ]
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.pair_samples):
+    for _ in range(PAIR_SAMPLES):
         x = g.domain.sample(rng, 1)[0]
         y = g.domain.sample(rng, 1)[0]
         while np.linalg.norm(y - x) < 1e-9:
             y = g.domain.sample(rng, 1)[0]
         pairs.append((x, y))
     curvatures = _segment_curvatures(
-        g, np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]), cfg
+        g, np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
     )[0]
     best_val = -1.0
     best = None
@@ -275,7 +264,7 @@ def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> 
     lo = np.concatenate([g.domain.lo, g.domain.lo])
     hi = np.concatenate([g.domain.hi, g.domain.hi])
     p, v = coordinate_ascent(
-        lambda p: _pair_value(g, cfg, p[: g.n], p[g.n:]), p0, lo, hi, passes=2, iters=20
+        lambda p: _pair_value(g, p[: g.n], p[g.n:]), p0, lo, hi, passes=2, iters=20
     )
     if v > best_val:
         best_val, best = v, (p[: g.n].copy(), p[g.n:].copy())
@@ -315,7 +304,7 @@ def depth_scaled_lower_bound(
     q = min(c, 1)/2 and c the curvature supremum of g.
 
     Requires a positive-definite Hessian on the domain (spot-checked at
-    cfg.pair_samples random points); two-piece activations assumed.
+    PAIR_SAMPLES random points); two-piece activations assumed.
     """
     cfg = cfg or BoundConfig()
     if int(d_f) != d_f or d_f < 1:
@@ -323,7 +312,7 @@ def depth_scaled_lower_bound(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(cfg.seed)
-    pts = g.domain.sample(rng, cfg.pair_samples)
+    pts = g.domain.sample(rng, PAIR_SAMPLES)
     lam_min = _eig_range(g.hessian(pts))[0].min()
     if lam_min <= 0:
         raise PreconditionError(

@@ -20,9 +20,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .activations import PwlActivation, builtin_activation, piece_count
+from .activations import PwlActivation, builtin_activation
 from .approx import Sampler, swap_audit
 from .bounds import (
+    ALPHA_GRID,
+    PAIR_SAMPLES,
+    REFINE_ITERS,
     BoundConfig,
     breakpoint_upper_bound,
     breakpoint_upper_bound_exact,
@@ -36,7 +39,7 @@ from .campaign import CampaignSpec, run_campaign, violations, write_csv
 from .errors import ExpressivityError
 from .netgraph import Segment, depth_profile, load_network
 from .report import PASS, _json_safe
-from .restriction import audit_transition_inequalities, break_points, restrict, transitions
+from .restriction import break_points, restrict, transitions
 from .targets import catalog
 
 _TARGET_RE = re.compile(r"^([a-z0-9_]+)(?:\((\d+)\))?$")
@@ -173,8 +176,8 @@ def cmd_lower_bound(args) -> int:
     g = _parse_target(args.target)
     cfg = BoundConfig(epsilon=args.epsilon, t=args.t, seed=args.seed)
     provenance = (
-        f"alpha_grid={cfg.alpha_grid} refine_iters={cfg.refine_iters} "
-        f"pair_samples={cfg.pair_samples} seed={cfg.seed}"
+        f"alpha_grid={ALPHA_GRID} refine_iters={REFINE_ITERS} "
+        f"pair_samples={PAIR_SAMPLES} seed={cfg.seed}"
     )
     payload = {
         "command": "lower-bound",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any
@@ -109,12 +109,12 @@ class Network:
         depth_of = {uid: 0 for uid in self.input_ids}
         for uid in self.topo_order:
             depth_of[uid] = 1 + max(depth_of[e.src] for e in self.in_edges[uid])
-        d = max((depth_of[u.uid] for u in self.units), default=0)
+        d = max(depth_of[u.uid] for u in self.units)
         layers = tuple(
             tuple(u.uid for u in self.units if depth_of[u.uid] == level) for level in range(1, d + 1)
         )
         widths = tuple(len(layer) for layer in layers)
-        width = Fraction(len(self.units), d) if d else Fraction(0)
+        width = Fraction(len(self.units), d)
         return DepthProfile({u.uid: depth_of[u.uid] for u in self.units}, d, layers, widths, width)
 
     @cached_property
@@ -183,6 +183,10 @@ def validate(net: Network) -> list:
     violations = []
     if net.n_inputs < 1:
         violations.append("n_inputs must be >= 1")
+    if not net.units:
+        violations.append("no hidden units: depth and width are undefined")
+    if not np.isfinite(net.output_bias):
+        violations.append("non-finite output bias")
     inputs = set(net.input_ids)
     hidden = [u.uid for u in net.units]
     hidden_set = set(hidden)
@@ -399,12 +403,15 @@ def network_to_json(net: Network) -> dict:
 
 def network_from_json(doc: dict) -> Network:
     try:
+        n_inputs = doc["n_inputs"]
+        if not isinstance(n_inputs, int) or isinstance(n_inputs, bool):
+            raise ValueError(f"malformed network document: n_inputs {n_inputs!r} is not an integer")
         units = tuple(
             Unit(str(u["id"]), float(u["bias"]), _decode_activation(u["activation"]))
             for u in doc["units"]
         )
         edges = tuple(Edge(str(e["from"]), str(e["to"]), float(e["weight"])) for e in doc["edges"])
-        return Network(int(doc["n_inputs"]), units, edges, float(doc.get("output_bias", 0.0)))
+        return Network(n_inputs, units, edges, float(doc.get("output_bias", 0.0)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnsupportedActivationError
+
 # Breakpoints closer than this are treated as a single point; the sliver piece
 # between them is dropped during normalization.
 COALESCE_TOL = 1e-12
@@ -232,8 +234,6 @@ def activate(act, f: PwlFunction1D):
     the raw per-unit transition count.
     """
     if not hasattr(act, "boundaries"):
-        from .errors import UnsupportedActivationError
-
         raise UnsupportedActivationError(
             f"activation {getattr(act, 'name', act)!r} has no piecewise-linear structure"
         )

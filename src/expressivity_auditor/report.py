@@ -3,11 +3,13 @@
 Every numeric check in the package reports through AuditReport so the CLI and
 the campaign CSV can serialize them uniformly. Upper-bound audits pass when
 measured <= bound, lower-bound audits when measured >= bound, both within the
-stated tolerance.
+stated tolerance. The margin and verdict are computed in the inputs' own
+arithmetic, exact for int and Fraction, before the stored floats are taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -40,22 +42,30 @@ class AuditReport:
         }
 
 
-def upper_audit(kind, measured, bound, parameters=None, tol=0.0, provenance=""):
+def _safe_float(x) -> float:
+    """float(x), or a signed infinity when x exceeds binary64."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _audit(kind, measured, bound, margin, parameters, tol):
+    verdict = PASS if margin >= -tol else FAIL
+    return AuditReport(
+        kind, dict(parameters or {}), _safe_float(measured), _safe_float(bound),
+        _safe_float(margin), verdict,
+    )
+
+
+def upper_audit(kind, measured, bound, parameters=None, tol=0.0):
     """Audit of measured <= bound (+ tol)."""
-    measured = float(measured)
-    bound = float(bound)
-    margin = bound - measured
-    verdict = PASS if margin >= -tol else FAIL
-    return AuditReport(kind, dict(parameters or {}), measured, bound, margin, verdict, provenance)
+    return _audit(kind, measured, bound, bound - measured, parameters, tol)
 
 
-def lower_audit(kind, measured, bound, parameters=None, tol=0.0, provenance=""):
+def lower_audit(kind, measured, bound, parameters=None, tol=0.0):
     """Audit of measured >= bound (- tol)."""
-    measured = float(measured)
-    bound = float(bound)
-    margin = measured - bound
-    verdict = PASS if margin >= -tol else FAIL
-    return AuditReport(kind, dict(parameters or {}), measured, bound, margin, verdict, provenance)
+    return _audit(kind, measured, bound, measured - bound, parameters, tol)
 
 
 def _json_safe(v):

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import pwl
 from .activations import PwlActivation
-from .bounds import breakpoint_upper_bound_exact, _safe_float
+from .bounds import breakpoint_upper_bound_exact
 from .errors import UnsupportedActivationError
 from .netgraph import OUTPUT_ID, Network, Segment, depth_profile, hidden_ancestors, require_valid
-from .report import FAIL, PASS, AuditReport, upper_audit
+from .report import upper_audit
 
 # Two event points are treated as simultaneous iff they differ by at most
 # this; exact coincidence is measure-zero under random weights, so the value
@@ -219,13 +219,9 @@ def audit_transition_inequalities(r: LineRestriction) -> list:
     cap = breakpoint_upper_bound_exact(t, prof.width, prof.depth)
     n_all = N(tuple(r.net.unit_map))
     reports.append(
-        AuditReport(
-            kind="transitions-le-depth-bound",
+        upper_audit(
+            "transitions-le-depth-bound", n_all, cap,
             parameters={"t": t, "omega": str(prof.width), "d_f": prof.depth},
-            measured=float(n_all),
-            bound=_safe_float(cap),
-            margin=_safe_float(cap - n_all),
-            verdict=PASS if n_all <= cap else FAIL,
         )
     )
     return reports

@@ -45,9 +45,9 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        ok = (x >= self.lo - tol) & (x <= self.hi + tol)
+        ok = (x >= self.lo - 1e-9) & (x <= self.hi + 1e-9)
         return np.all(ok, axis=-1)
 
     def sample(self, rng, m: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from expressivity_auditor import (
     Sampler,
     Segment,
     activation_swap_bound,
-    builtin_activation,
     catalog,
     curvature_breakpoint_audit,
     curvature_lower_bound,

@@ -63,8 +63,7 @@ def test_sigmoid_lipschitz():
 
 def test_lipschitz_declaration_is_checked():
     with pytest.raises(ValueError):
-        LipschitzActivation("too-steep", lambda v: np.asarray(v, dtype=float), 0.5,
-                            check_range=(-1.0, 1.0))
+        LipschitzActivation("too-steep", lambda v: np.asarray(v, dtype=float), 0.5)
 
 
 def test_gap_examples():

@@ -19,6 +19,7 @@ from expressivity_auditor import (
     swap_audit,
     uniform_interpolant_1d,
 )
+from expressivity_auditor import approx
 from expressivity_auditor.errors import PreconditionError, UnsupportedActivationError
 
 RELU = builtin_activation("relu")
@@ -32,20 +33,22 @@ def test_sup_error_constant_vs_square():
     assert sup_error(PwlFunction1D.constant(0.0), g) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sup_error_single_kink(single_relu_net):
+def test_sup_error_single_kink(single_relu_net, monkeypatch):
     # max |relu(2x-1) - x^2| on [0,1] is 1/4, attained at x = 1/2
+    monkeypatch.setattr(approx, "SUP_GRID", 501)
     g = catalog("sq_norm", 1)
     f = PwlFunction1D([0.5], [0.0, 2.0], [0.0, -1.0])
-    assert sup_error(f, g, Sampler(grid=501)) == pytest.approx(0.25, abs=1e-12)
-    assert sup_error(single_relu_net, g, Sampler(grid=501)) == pytest.approx(0.25, abs=1e-12)
+    assert sup_error(f, g) == pytest.approx(0.25, abs=1e-12)
+    assert sup_error(single_relu_net, g) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_sup_error_2d_network():
+def test_sup_error_2d_network(monkeypatch):
+    monkeypatch.setattr(approx, "SUP_GRID", 501)
     net = Network(2, [Unit("a", 0.0, RELU)], [
         Edge("x1", "a", 1.0), Edge("x2", "a", 1.0), Edge("a", "out", 1.0),
     ])
     g = catalog("sq_norm")
-    assert sup_error(net, g, Sampler(grid=501)) == pytest.approx(0.5, abs=1e-12)
+    assert sup_error(net, g) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sup_error_monte_carlo_path():
@@ -68,8 +71,6 @@ def test_sup_error_validation(fig1_net):
         sup_error(fig1_net, g1)
     with pytest.raises(ValueError):
         sup_error("not a network", g1)
-    with pytest.raises(ValueError):
-        Sampler(grid=1)
 
 
 # -------------------------------------------------------------- interpolant

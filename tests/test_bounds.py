@@ -19,6 +19,7 @@ from expressivity_auditor import (
     min_curvature,
     strong_convexity_lower_bound,
 )
+from expressivity_auditor import bounds
 from expressivity_auditor.errors import PreconditionError
 
 
@@ -99,10 +100,12 @@ def test_min_curvature_value_squares_to_gamma():
         assert sc.value == 0.0
 
 
-def test_min_curvature_grid_refinement_no_worse():
+def test_min_curvature_grid_refinement_no_worse(monkeypatch):
     g = catalog("poly_a")
-    coarse = min_curvature(g, [0.0, 1.0], [1.0, 0.0], BoundConfig(alpha_grid=17))
-    fine = min_curvature(g, [0.0, 1.0], [1.0, 0.0], BoundConfig(alpha_grid=4097))
+    monkeypatch.setattr(bounds, "ALPHA_GRID", 17)
+    coarse = min_curvature(g, [0.0, 1.0], [1.0, 0.0])
+    monkeypatch.setattr(bounds, "ALPHA_GRID", 4097)
+    fine = min_curvature(g, [0.0, 1.0], [1.0, 0.0])
     assert fine.value <= coarse.value + 1e-6
 
 
@@ -246,14 +249,3 @@ def test_bound_config_validation():
         BoundConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         BoundConfig(t=0)
-    with pytest.raises(ValueError):
-        BoundConfig(alpha_grid=0)
-
-
-def test_bound_config_needs_two_grid_points():
-    # one grid point has no cell to refine in: the step 1 / (alpha_grid - 1)
-    # used to divide by zero
-    with pytest.raises(ValueError, match="alpha_grid must be >= 2"):
-        BoundConfig(alpha_grid=1)
-    res = min_curvature(catalog("sq_norm"), [0.0, 0.0], [1.0, 1.0], BoundConfig(alpha_grid=2))
-    assert res.value == pytest.approx(2.0**0.5)

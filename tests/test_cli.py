@@ -1,10 +1,9 @@
-import functools
 import hashlib
 import json
 
 import pytest
 
-from expressivity_auditor import random_network, save_network
+from expressivity_auditor import Edge, Network, random_network, save_network
 from expressivity_auditor.cli import main
 
 
@@ -264,14 +263,41 @@ def test_nan_inline_activation_exits_one(capsys, tmp_path, tent2_path):
     assert err.startswith("error: non-finite activation slopes")
 
 
-def test_one_point_alpha_grid_exits_one(capsys, monkeypatch):
-    # the CLI has no grid flag, so give every BoundConfig a one-point grid
-    from expressivity_auditor import cli
+def test_nan_output_bias_exits_one(capsys, tmp_path, tent2_path):
+    # a NaN output bias makes every output NaN; swap must not turn that into
+    # exit 2, which claims a bound violation
+    with open(tent2_path) as fh:
+        doc = json.load(fh)
+    doc["output_bias"] = float("nan")
+    path = tmp_path / "nan_bias.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["analyze"], ["swap", "--act1", "relu", "--act2", "relu", "--A", "4"]):
+        rc, out, err = run(capsys, [*argv, "--net", str(path)])
+        assert (rc, out, err) == (1, "", "error: non-finite output bias\n")
 
-    monkeypatch.setattr(cli, "BoundConfig", functools.partial(cli.BoundConfig, alpha_grid=1))
-    rc, out, err = run(capsys, ["lower-bound", "--target", "sq_norm"])
+
+@pytest.mark.parametrize("token", ["1e400", "1.5", "true"])
+def test_non_integer_n_inputs_exits_one(capsys, tmp_path, tent2_path, token):
+    # 1e400 parses as the float inf, 1.5 as a float, true as a bool
+    with open(tent2_path) as fh:
+        text = json.dumps(json.load(fh)).replace('"n_inputs": 1', f'"n_inputs": {token}')
+    path = tmp_path / "n_inputs.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["analyze", "--net", str(path)])
     assert (rc, out) == (1, "")
-    assert err == "error: alpha_grid must be >= 2: the grid needs both segment ends\n"
+    assert err.startswith("error: malformed network document: n_inputs")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["breakpoints", "--from", "0", "--to", "1"],
+    ["swap", "--act1", "relu", "--act2", "relu", "--A", "1"],
+], ids=["analyze", "breakpoints", "swap"])
+def test_no_hidden_units_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "affine.json"
+    save_network(Network(1, [], [Edge("x1", "out", 1.0)]), path)
+    rc, out, err = run(capsys, [argv[0], "--net", str(path), *argv[1:]])
+    assert (rc, out, err) == (1, "", "error: no hidden units: depth and width are undefined\n")
 
 
 def test_missing_required_flag(capsys):

@@ -120,14 +120,14 @@ KERNEL_TARGETS = {
 
 @pytest.mark.parametrize("alpha_grid", [17, 1025])
 @pytest.mark.parametrize("name", list(KERNEL_TARGETS))
-def test_segment_curvatures_match_min_curvature(name, alpha_grid):
+def test_segment_curvatures_match_min_curvature(name, alpha_grid, monkeypatch):
     g = KERNEL_TARGETS[name]()
-    cfg = BoundConfig(alpha_grid=alpha_grid)
+    monkeypatch.setattr(bounds, "ALPHA_GRID", alpha_grid)
     rng = np.random.default_rng(alpha_grid)
     X, Y = g.domain.sample(rng, 60), g.domain.sample(rng, 60)
-    value, alpha, gamma, sign = bounds._segment_curvatures(g, X, Y, cfg)
+    value, alpha, gamma, sign = bounds._segment_curvatures(g, X, Y)
     for i in range(60):
-        sc = min_curvature(g, X[i], Y[i], cfg)
+        sc = min_curvature(g, X[i], Y[i])
         assert (value[i], alpha[i], gamma[i], int(sign[i])) == (
             sc.value, sc.minimizing_alpha, sc.gamma_at_min, sc.sign_at_min)
 
@@ -136,12 +136,12 @@ def test_segment_curvatures_batch_cap_keeps_bits(monkeypatch):
     # At a cap of 50 points, 120 segments of 17 alphas go through the grid
     # 2 segments at a time; refinement takes all of them at once.
     g = quartic_bowl()
-    cfg = BoundConfig(alpha_grid=17)
+    monkeypatch.setattr(bounds, "ALPHA_GRID", 17)
     rng = np.random.default_rng(5)
     X, Y = g.domain.sample(rng, 120), g.domain.sample(rng, 120)
-    whole = bounds._segment_curvatures(g, X, Y, cfg)
+    whole = bounds._segment_curvatures(g, X, Y)
     monkeypatch.setattr(bounds, "HESSIAN_BATCH_POINTS", 50)
-    for a, b in zip(whole, bounds._segment_curvatures(g, X, Y, cfg)):
+    for a, b in zip(whole, bounds._segment_curvatures(g, X, Y)):
         assert np.array_equal(a, b)
 
 

@@ -18,6 +18,7 @@ from expressivity_auditor import (
     network_to_json,
     random_network,
     require_valid,
+    restrict,
     save_network,
     validate,
 )
@@ -77,6 +78,19 @@ def test_unreachable_unit_rejected():
         Edge("x1", "a", 1.0), Edge("a", "out", 1.0), Edge("x1", "b", 1.0),
     ])
     assert any("out" in m for m in validate(net))
+
+
+def test_no_hidden_units_rejected():
+    net = Network(1, [], [Edge("x1", "out", 1.0)])
+    assert validate(net) == ["no hidden units: depth and width are undefined"]
+    with pytest.raises(ValidationError, match="no hidden units"):
+        restrict(net, Segment([0.0], [1.0]))
+
+
+def test_non_finite_output_bias_rejected():
+    net = Network(1, [Unit("a", 0.0, RELU)], [Edge("x1", "a", 1.0), Edge("a", "out", 1.0)],
+                  output_bias=float("inf"))
+    assert validate(net) == ["non-finite output bias"]
 
 
 # -------------------------------------------------------------- depth, width
