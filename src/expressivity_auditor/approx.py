@@ -1,7 +1,6 @@
 """Empirical approximation machinery.
 
-sup_error estimates sup |f - g| by dense grids (low dimension) or seeded Monte
-Carlo; uniform_interpolant_1d builds the best uniform-knot piecewise-linear
+uniform_interpolant_1d builds the best uniform-knot piecewise-linear
 approximation of a target along a segment; the *_breakpoint_audit functions
 check the measured piece counts of such approximants against the curvature and
 Laplacian floors; swap_audit compares two copies of a network that differ only
@@ -18,18 +17,20 @@ import numpy as np
 from . import activations, pwl
 from .bounds import activation_swap_bound, max_abs_laplacian, min_curvature
 from .errors import PreconditionError
-from .netgraph import Network, Segment, Unit, depth_profile, forward, require_valid
+from .netgraph import Network, Segment, Unit, _evaluate, depth_profile, require_valid
 from .report import AuditReport, lower_audit
 from .targets import TargetFunction
 
 DENSE_PER_PIECE = 4096  # samples per linear piece for 1-D sup-error measurement
-SUP_GRID = 512  # grid points per axis for sup_error in dimensions <= 2
+# Points per swap_audit block: peak memory grows with units x SWAP_CHUNK, not
+# with the sample count.
+SWAP_CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class Sampler:
-    """Seeded Monte Carlo sample count: sup_error above two dimensions, and
-    swap_audit's inputs drawn uniformly from the unit cube."""
+    """Seeded Monte Carlo sample count: swap_audit's inputs drawn uniformly
+    from the unit cube."""
 
     samples: int = 100000
     seed: int = 0
@@ -49,37 +50,6 @@ class SwapAudit:
     margin: float
     gap: float
     lipschitz: float
-
-
-def sup_error(f, g: TargetFunction, sampler: Sampler | None = None) -> float:
-    """max |f - g| over a deterministic point set in g's domain.
-
-    f is a Network (dimensions must match) or a PwlFunction1D of a scalar
-    argument (g must then be one-dimensional on [0,1]). Dimensions <= 2 use a
-    full grid of SUP_GRID points per axis; higher dimensions fall back to
-    sampler.samples seeded Monte Carlo points, an under-estimate of the sup.
-    """
-    sampler = sampler or Sampler()
-    if isinstance(f, pwl.PwlFunction1D):
-        if g.n != 1:
-            raise ValueError("a 1-D piecewise-linear f needs a 1-D target")
-        alphas = np.linspace(0.0, 1.0, SUP_GRID)
-        pts = g.domain.lo + alphas[:, None] * (g.domain.hi - g.domain.lo)
-        return float(np.max(np.abs(f.eval(alphas) - g.value(pts))))
-    if not isinstance(f, Network):
-        raise ValueError("f must be a Network or a PwlFunction1D")
-    if f.n_inputs != g.n:
-        raise ValueError(f"network takes {f.n_inputs} inputs, target has {g.n}")
-    if g.n <= 2:
-        axes = [
-            np.linspace(g.domain.lo[i], g.domain.hi[i], SUP_GRID) for i in range(g.n)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        rng = np.random.default_rng(sampler.seed)
-        pts = g.domain.sample(rng, sampler.samples)
-    return float(np.max(np.abs(forward(f, pts).output - g.value(pts))))
 
 
 def _dense_alphas(f: pwl.PwlFunction1D) -> np.ndarray:
@@ -181,6 +151,14 @@ def _with_activation(net: Network, act) -> Network:
     return Network(net.n_inputs, units, net.edges, net.output_bias)
 
 
+def _output_and_range(net: Network, x: np.ndarray):
+    """Output of net on the rows of x, and the min and max over all its
+    pre-activations; the per-unit arrays are dropped on return."""
+    out, _, pre = _evaluate(net, x)
+    pre = pre.values()
+    return out, float(np.min([v.min() for v in pre])), float(np.max([v.max() for v in pre]))
+
+
 def swap_audit(net: Network, act1, act2, A: float, sampler: Sampler | None = None) -> SwapAudit:
     """Empirical output deviation between act1- and act2-versions of one
     weight configuration, against the closed-form cap.
@@ -192,8 +170,8 @@ def swap_audit(net: Network, act1, act2, A: float, sampler: Sampler | None = Non
     """
     sampler = sampler or Sampler()
     require_valid(net)
-    if not A > 0:
-        raise ValueError("A must be positive")
+    if not (A > 0 and math.isfinite(A)):
+        raise ValueError("A must be positive and finite")
     for e in net.edges:
         if abs(e.weight) > A + 1e-12:
             raise PreconditionError(
@@ -204,13 +182,19 @@ def swap_audit(net: Network, act1, act2, A: float, sampler: Sampler | None = Non
     net1 = _with_activation(net, act1)
     net2 = _with_activation(net, act2)
     rng = np.random.default_rng(sampler.seed)
-    x = rng.random((sampler.samples, net.n_inputs))
-    r1 = forward(net1, x)
-    r2 = forward(net2, x)
-    emp = float(np.max(np.abs(r1.output - r2.output)))
-    pre = [*r1.pre_activations.values(), *r2.pre_activations.values()]
-    lo = float(np.min([v.min() for v in pre]))
-    hi = float(np.max([v.max() for v in pre]))
+    emp, lo, hi = 0.0, math.inf, -math.inf
+    for start in range(0, sampler.samples, SWAP_CHUNK):
+        x = rng.random((min(SWAP_CHUNK, sampler.samples - start), net.n_inputs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out1, lo1, hi1 = _output_and_range(net1, x)
+            out2, lo2, hi2 = _output_and_range(net2, x)
+            dev = float(np.max(np.abs(out1 - out2)))
+        # A NaN anywhere makes these NaN, and max/min below would drop it.
+        if not np.all(np.isfinite((dev, lo1, hi1, lo2, hi2))):
+            raise PreconditionError(
+                "network outputs or pre-activations overflow binary64 on the sampled inputs"
+            )
+        emp, lo, hi = max(emp, dev), min(lo, lo1, lo2), max(hi, hi1, hi2)
     g = activations.gap(act1, act2, lo - 0.5, hi + 0.5)
     delta = activations.lipschitz_constant(act1)
     prof = depth_profile(net)

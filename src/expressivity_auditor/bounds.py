@@ -264,7 +264,7 @@ def curvature_lower_bound(g: TargetFunction, cfg: BoundConfig | None = None) -> 
     lo = np.concatenate([g.domain.lo, g.domain.lo])
     hi = np.concatenate([g.domain.hi, g.domain.hi])
     p, v = coordinate_ascent(
-        lambda p: _pair_value(g, p[: g.n], p[g.n:]), p0, lo, hi, passes=2, iters=20
+        lambda p: _pair_value(g, p[: g.n], p[g.n:]), p0, lo, hi, iters=20
     )
     if v > best_val:
         best_val, best = v, (p[: g.n].copy(), p[g.n:].copy())
@@ -338,7 +338,7 @@ def max_abs_laplacian(g: TargetFunction):
     k = int(np.argmax(vals))
     p, v = coordinate_ascent(
         lambda x: float(np.abs(g.laplacian(x))), pts[k], g.domain.lo, g.domain.hi,
-        passes=2, iters=25,
+        iters=25,
     )
     if v < vals[k]:
         p, v = pts[k], float(vals[k])
@@ -369,11 +369,13 @@ def activation_swap_bound(delta: float, A: float, omega_f, d_f: int, gap) -> flo
     gap_val = float(getattr(gap, "value", gap))
     if gap_val < 0:
         raise ValueError("gap must be >= 0")
-    if not (delta > 0 and A > 0):
-        raise ValueError("delta and A must be positive")
+    if not (delta > 0 and A > 0 and math.isfinite(A)):
+        raise ValueError("delta and A must be positive, A finite")
     if int(d_f) != d_f or d_f < 1:
         raise ValueError("d_f must be an integer >= 1")
     omega = float(omega_f)
     if omega <= 0:
         raise ValueError("omega_f must be positive")
+    if gap_val == 0.0:
+        return 0.0  # exact for any finite A, where the growth factor may overflow
     return (gap_val / delta) * ((delta * A * omega + 1.0) ** int(d_f) - 1.0)

@@ -273,24 +273,37 @@ def forward(net: Network, x) -> ForwardResult:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.n_inputs:
         raise ValueError(f"expected points of dimension {net.n_inputs}")
-    values = {uid: x[:, i] for i, uid in enumerate(net.input_ids)}
-    pre_acts = {}
-    for uid in net.topo_order:
-        unit = net.unit_map[uid]
-        pre = np.full(x.shape[0], unit.bias)
-        for e in net.in_edges[uid]:
-            pre = pre + e.weight * values[e.src]
-        pre_acts[uid] = pre
-        values[uid] = unit.activation.value(pre)
-    out = np.full(x.shape[0], float(net.output_bias))
-    for e in net.in_edges[OUTPUT_ID]:
-        out = out + e.weight * values[e.src]
-    unit_outputs = {u.uid: values[u.uid] for u in net.units}
+    out, unit_outputs, pre_acts = _evaluate(net, x)
     if scalar_input:
         out = float(out[0])
         unit_outputs = {k: float(v[0]) for k, v in unit_outputs.items()}
         pre_acts = {k: float(v[0]) for k, v in pre_acts.items()}
     return ForwardResult(out, unit_outputs, pre_acts)
+
+
+def _evaluate(net: Network, x: np.ndarray):
+    """(output, unit outputs, pre-activations) of a valid network on the rows
+    of the (m, n) array x.
+
+    Each sum runs over the unit's in-edges in order and every operation is
+    elementwise, so evaluating the rows in blocks gives the same bits.
+    """
+    values = {uid: x[:, i] for i, uid in enumerate(net.input_ids)}
+    pre_acts = {}
+    tmp = np.empty(x.shape[0])
+    for uid in net.topo_order:
+        unit = net.unit_map[uid]
+        pre = np.full(x.shape[0], unit.bias, dtype=float)
+        for e in net.in_edges[uid]:
+            np.multiply(e.weight, values[e.src], out=tmp)
+            np.add(pre, tmp, out=pre)
+        pre_acts[uid] = pre
+        values[uid] = unit.activation.value(pre)
+    out = np.full(x.shape[0], net.output_bias, dtype=float)
+    for e in net.in_edges[OUTPUT_ID]:
+        np.multiply(e.weight, values[e.src], out=tmp)
+        np.add(out, tmp, out=out)
+    return out, {u.uid: values[u.uid] for u in net.units}, pre_acts
 
 
 def random_network(

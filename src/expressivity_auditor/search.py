@@ -6,6 +6,7 @@ import numpy as np
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
+COORDINATE_PASSES = 2  # cyclic sweeps of coordinate_ascent
 
 
 def golden_min(fn, lo, hi, iters=40):
@@ -86,30 +87,26 @@ def golden_min_batch(fn, lo, hi, iters=40):
     return best_x, best_f
 
 
-def golden_max(fn, lo, hi, iters=40):
-    x, f = golden_min(lambda v: -fn(v), lo, hi, iters)
-    return x, -f
-
-
-def coordinate_ascent(fn, x0, lo, hi, passes=3, iters=25):
+def coordinate_ascent(fn, x0, lo, hi, iters=25):
     """Cyclic coordinate maximization of fn over the box [lo, hi]^n.
 
-    One golden-section line search per coordinate per pass, starting from x0.
-    Returns (x, fn(x)); never returns a point worse than the start.
+    One golden-section line search per coordinate per pass, COORDINATE_PASSES
+    passes, starting from x0. Returns (x, fn(x)); never returns a point worse
+    than the start.
     """
     x = np.array(x0, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
     best = fn(x)
-    for _ in range(max(1, int(passes))):
+    for _ in range(COORDINATE_PASSES):
         for i in range(x.size):
-            def line(v, i=i):
+            def neg_line(v, i=i):
                 trial = x.copy()
                 trial[i] = v
-                return fn(trial)
+                return -fn(trial)
 
-            xi, fi = golden_max(line, lo[i], hi[i], iters)
-            if fi > best:
-                best = fi
+            xi, fi = golden_min(neg_line, lo[i], hi[i], iters)
+            if -fi > best:
+                best = -fi
                 x[i] = xi
     return x, best

@@ -1,20 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from expressivity_auditor import (
     Box,
-    Edge,
-    Network,
     PwlFunction1D,
     Sampler,
     Segment,
     TargetFunction,
-    Unit,
-    builtin_activation,
     catalog,
     curvature_breakpoint_audit,
     laplacian_breakpoint_audit,
-    sup_error,
+    random_network,
     sup_error_on_segment,
     swap_audit,
     uniform_interpolant_1d,
@@ -22,55 +20,7 @@ from expressivity_auditor import (
 from expressivity_auditor import approx
 from expressivity_auditor.errors import PreconditionError, UnsupportedActivationError
 
-RELU = builtin_activation("relu")
 SEG_1D = Segment([0.0], [1.0])
-
-
-# ---------------------------------------------------------------- sup_error
-
-def test_sup_error_constant_vs_square():
-    g = catalog("sq_norm", 1)
-    assert sup_error(PwlFunction1D.constant(0.0), g) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sup_error_single_kink(single_relu_net, monkeypatch):
-    # max |relu(2x-1) - x^2| on [0,1] is 1/4, attained at x = 1/2
-    monkeypatch.setattr(approx, "SUP_GRID", 501)
-    g = catalog("sq_norm", 1)
-    f = PwlFunction1D([0.5], [0.0, 2.0], [0.0, -1.0])
-    assert sup_error(f, g) == pytest.approx(0.25, abs=1e-12)
-    assert sup_error(single_relu_net, g) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_sup_error_2d_network(monkeypatch):
-    monkeypatch.setattr(approx, "SUP_GRID", 501)
-    net = Network(2, [Unit("a", 0.0, RELU)], [
-        Edge("x1", "a", 1.0), Edge("x2", "a", 1.0), Edge("a", "out", 1.0),
-    ])
-    g = catalog("sq_norm")
-    assert sup_error(net, g) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_sup_error_monte_carlo_path():
-    net = Network(3, [Unit("a", 0.0, RELU)], [
-        Edge("x1", "a", -1.0), Edge("x2", "a", -1.0), Edge("x3", "a", -1.0),
-        Edge("a", "out", 1.0),
-    ])
-    g = catalog("sq_norm", 3)  # network output is identically zero on the box
-    v1 = sup_error(net, g, Sampler(samples=20000, seed=9))
-    v2 = sup_error(net, g, Sampler(samples=20000, seed=9))
-    assert v1 == v2
-    assert 2.5 < v1 <= 3.0
-
-
-def test_sup_error_validation(fig1_net):
-    g1 = catalog("sq_norm", 1)
-    with pytest.raises(ValueError):
-        sup_error(PwlFunction1D.constant(0.0), catalog("sq_norm"))
-    with pytest.raises(ValueError):
-        sup_error(fig1_net, g1)
-    with pytest.raises(ValueError):
-        sup_error("not a network", g1)
 
 
 # -------------------------------------------------------------- interpolant
@@ -192,3 +142,34 @@ def test_swap_needs_lipschitz_baseline(single_relu_net):
     with pytest.raises(UnsupportedActivationError):
         swap_audit(single_relu_net, "step", "relu", A=2.0,
                    sampler=Sampler(samples=100))
+
+
+@pytest.mark.parametrize("seed,act,pair", [
+    (11, "sigmoid", ("sigmoid", "sigmoid-q(16)")),
+    (12, "relu", ("relu", "leaky-relu(0.01)")),
+    (13, "sigmoid", ("sigmoid", "sigmoid-q(8)")),
+])
+def test_swap_audit_block_invariant(monkeypatch, seed, act, pair):
+    # every operation is elementwise over the points, so the block size must
+    # not move a bit; 1000 samples are not a multiple of 7
+    net = random_network(2, 3, max_width=5, skip_prob=0.5, activation=act, seed=seed)
+    assert any(e.src == "x1" and not e.dst.startswith("u1_") for e in net.edges)  # a skip edge
+    sampler = Sampler(samples=1000, seed=seed)
+    monkeypatch.setattr(approx, "SWAP_CHUNK", 7)
+    blocked = swap_audit(net, *pair, A=1.0, sampler=sampler)
+    monkeypatch.setattr(approx, "SWAP_CHUNK", 1000)
+    whole = swap_audit(net, *pair, A=1.0, sampler=sampler)
+    assert repr(blocked) == repr(whole)
+
+
+def test_swap_audit_memory_bounded():
+    # the criterion 6 scenario; holding every unit's values for all 1e5
+    # points of both networks takes about 310 MiB
+    net = random_network(2, 5, widths=(20,) * 5, weight_bound=1.0, activation="sigmoid", seed=1)
+    tracemalloc.start()
+    try:
+        swap_audit(net, "sigmoid", "sigmoid-q(32)", A=1.0, sampler=Sampler(samples=100000, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

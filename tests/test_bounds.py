@@ -225,6 +225,8 @@ def test_activation_swap_bound_values():
     assert activation_swap_bound(1.0, 1.0, 2.0, 2, 0.5) == pytest.approx(0.5 * 8.0)
     assert activation_swap_bound(0.25, 1.0, 2.0, 1, 0.1) == pytest.approx(0.4 * 0.5)
     assert activation_swap_bound(1.0, 1.0, 1.0, 1, 0.0) == 0.0
+    # a zero gap gives 0 even where (delta*A*omega + 1)^d overflows to inf
+    assert activation_swap_bound(1.0, 1e308, 2.0, 2, 0.0) == 0.0
 
 
 def test_activation_swap_bound_accepts_gap_object():
@@ -242,6 +244,9 @@ def test_activation_swap_bound_validation():
         activation_swap_bound(1.0, 1.0, 2.0, 2, -0.5)
     with pytest.raises(ValueError):
         activation_swap_bound(1.0, 1.0, 2.0, 0, 0.5)
+    for A in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            activation_swap_bound(1.0, A, 2.0, 2, 0.0)
 
 
 def test_bound_config_validation():

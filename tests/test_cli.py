@@ -1,9 +1,17 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
-from expressivity_auditor import Edge, Network, random_network, save_network
+from expressivity_auditor import (
+    Edge,
+    Network,
+    Unit,
+    builtin_activation,
+    random_network,
+    save_network,
+)
 from expressivity_auditor.cli import main
 
 
@@ -237,6 +245,41 @@ def test_swap_weight_cap_violation(capsys, tent2_path):
                               "--act2", "relu", "--A", "1"])
     assert rc == 1
     assert "error" in err
+
+
+def test_swap_overflow_exits_one(capsys, tmp_path):
+    # a * 1e308 - b * 1e308 is inf - inf = NaN at every point with x1 > 0;
+    # exit 2 would claim a bound violation
+    relu = builtin_activation("relu")
+    net = Network(1, [Unit("a", 0.0, relu), Unit("b", 0.0, relu)], [
+        Edge("x1", "a", 1e308), Edge("x1", "b", 1e308),
+        Edge("a", "out", 1e308), Edge("b", "out", -1e308),
+    ])
+    path = tmp_path / "overflow.json"
+    save_network(net, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, ["swap", "--net", str(path), "--act1", "relu",
+                                    "--act2", "relu", "--A", "1e308", "--json"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: network outputs or pre-activations overflow")
+    assert err.count("\n") == 1
+
+
+def test_swap_zero_gap_huge_A_bound_zero(capsys, tmp_path):
+    # gap 0 times an overflowing growth factor is 0, not 0 * inf = NaN
+    path = tmp_path / "net.json"
+    save_network(random_network(2, 2, widths=(3, 3), seed=1), path)
+    rc, out, _ = run(capsys, ["swap", "--net", str(path), "--act1", "relu",
+                              "--act2", "relu", "--A", "1e308", "--json"])
+    doc = json.loads(out)
+    assert (rc, doc["gap"], doc["bound"], doc["margin"]) == (0, 0.0, 0.0, 0.0)
+
+
+def test_swap_infinite_A_exits_one(capsys, tent2_path):
+    rc, out, err = run(capsys, ["swap", "--net", tent2_path, "--act1", "relu",
+                                "--act2", "relu", "--A", "inf"])
+    assert (rc, out, err) == (1, "", "error: A must be positive and finite\n")
 
 
 # ------------------------------------------------------------------- general
