@@ -10,6 +10,7 @@ between two activations.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -212,6 +213,8 @@ def gap(act1, act2, lo=-8.0, hi=8.0) -> ActivationGap:
     of GAP_GRID points over [lo, hi]."""
     if not hi > lo:
         raise ValueError("empty range")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"activation gap range [{lo}, {hi}] is wider than binary64 can hold")
     grid = np.linspace(lo, hi, GAP_GRID)
     return ActivationGap(float(np.max(np.abs(act1.value(grid) - act2.value(grid)))))
 

@@ -16,6 +16,11 @@ Conventions, fixed once:
 
 Arithmetic is IEEE binary64 with tolerance-based junction merging; there is no
 exact rational mode. See `normalize` for the merging rules.
+
+A PwlFunction1D built by hand is validated in full. The results of
+`affine_combine`, `normalize` and `activate` are not re-validated: their
+order and range hold by construction, and only their finiteness is checked.
+`affine_combine` reads the pieces of all its summands in one gather.
 """
 
 from __future__ import annotations
@@ -132,6 +137,22 @@ class PwlFunction1D:
         return PwlFunction1D(self.breakpoints, self.slopes, self.intercepts + float(delta))
 
 
+def _engine_built(breakpoints, slopes, intercepts) -> PwlFunction1D:
+    """A PwlFunction1D around fresh arrays that this module built.
+
+    Their lengths, order and range hold by construction, so only the
+    finiteness check of full validation runs: an overflowing combination
+    still fails.
+    """
+    if not (np.isfinite(slopes).all() and np.isfinite(intercepts).all()):
+        raise ValueError("non-finite data")
+    for arr in (breakpoints, slopes, intercepts):
+        arr.setflags(write=False)
+    f = object.__new__(PwlFunction1D)
+    vars(f).update(breakpoints=breakpoints, slopes=slopes, intercepts=intercepts)
+    return f
+
+
 def normalize(f: PwlFunction1D) -> PwlFunction1D:
     """Canonical form: coalesce breakpoints closer than COALESCE_TOL (dropping
     the sliver piece between them) and dissolve junctions whose two sides are
@@ -147,7 +168,7 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
     if not f.breakpoints.size:
         return f
     knots = np.concatenate(([0.0], f.breakpoints, [1.0]))
-    slopes, intercepts = f.slopes, f.intercepts
+    b, slopes, intercepts = f.breakpoints, f.slopes, f.intercepts
     wide = knots[1:] - knots[:-1] > COALESCE_TOL
     if not wide.all():
         # A sliver is absorbed by its left neighbour, except at the left
@@ -155,14 +176,12 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
         # every piece before it (those are all slivers).
         wide[np.argmax(knots[1:] > COALESCE_TOL)] = True
         kept = np.flatnonzero(wide)
-        knots = np.concatenate(([0.0], knots[kept[1:]], [1.0]))
-        slopes, intercepts = slopes[kept], intercepts[kept]
-    b = knots[1:-1]
+        b, slopes, intercepts = knots[kept[1:]], slopes[kept], intercepts[kept]
     merge = _same_line(slopes[:-1], intercepts[:-1], slopes[1:], intercepts[1:], b)
     if not merge.any():
-        if knots.size == f.breakpoints.size + 2:
+        if b is f.breakpoints:
             return f
-        return PwlFunction1D(b, slopes, intercepts)
+        return _engine_built(b, slopes, intercepts)
     # While a run's first piece equals the piece left of a junction, the
     # adjacent test in `merge` is the sequential one. That holds at the start
     # of every run and along runs of identical pieces, so only a merge of two
@@ -183,7 +202,7 @@ def normalize(f: PwlFunction1D) -> PwlFunction1D:
                 break
         resume = k
     pieces = np.concatenate(([True], keep))
-    return PwlFunction1D(b[keep], slopes[pieces], intercepts[pieces])
+    return _engine_built(b[keep], slopes[pieces], intercepts[pieces])
 
 
 def _same_line(sl, il, sr, ir, b):
@@ -196,25 +215,48 @@ def _same_line(sl, il, sr, ir, b):
 
 
 def affine_combine(coeffs, fs, bias=0.0) -> PwlFunction1D:
-    """Normalized sum(coeffs[i] * fs[i]) + bias."""
-    coeffs = [float(c) for c in coeffs]
+    """Normalized sum(coeffs[i] * fs[i]) + bias, in one gather.
+
+    The merged knots of all fs cut [0, 1] into cells. One searchsorted places
+    every breakpoint of every fs among the cell midpoints, one count of those
+    places gives every function's piece at every midpoint, and one fancy
+    index each reads the slopes and intercepts there. The weighted terms are
+    summed one function at a time, in the order of fs, so every piece has
+    the bits of the plain term-by-term sum.
+    """
+    coeffs = np.array([float(c) for c in coeffs])
     fs = list(fs)
-    if len(coeffs) != len(fs) or not fs:
+    if coeffs.size != len(fs) or not fs:
         raise ValueError("coeffs and fs must have the same nonzero length")
-    merged = np.unique(np.concatenate([f.breakpoints for f in fs]))
+    bps = [f.breakpoints for f in fs]
+    flat = np.concatenate(bps)
+    # Sorted, then coalesced: a repeated breakpoint is one closer than
+    # COALESCE_TOL to the one before it.
+    merged = np.sort(flat)
     if merged.size:
-        keep = np.concatenate(([True], np.diff(merged) > COALESCE_TOL))
-        merged = merged[keep]
-    starts = np.concatenate(([0.0], merged))
-    ends = np.concatenate((merged, [1.0]))
-    mids = 0.5 * (starts + ends)
-    slopes = np.zeros_like(mids)
-    intercepts = np.full_like(mids, float(bias))
-    for c, f in zip(coeffs, fs):
-        idx = f.piece_index(mids)
-        slopes += c * f.slopes[idx]
-        intercepts += c * f.intercepts[idx]
-    return normalize(PwlFunction1D(merged, slopes, intercepts))
+        merged = merged[np.concatenate(([True], merged[1:] - merged[:-1] > COALESCE_TOL))]
+    knots = np.concatenate(([0.0], merged, [1.0]))
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    k, m = len(fs), mids.size
+    # Row i of hits marks where the breakpoints of fs[i] fall among the
+    # midpoints; column m takes those right of them all. A running count
+    # over all rows then adds every earlier function's breakpoints, and
+    # + i their last pieces, so idx[i, j] is the index, in the concatenated
+    # pieces, of the piece of fs[i] at mids[j].
+    row = np.repeat(np.arange(0, k * (m + 1), m + 1), [b.size for b in bps])
+    hits = np.bincount(row + mids.searchsorted(flat), minlength=k * (m + 1))
+    idx = hits.cumsum().reshape(k, m + 1)[:, :m] + np.arange(k)[:, None]
+    terms = np.empty((k + 1, 2, m))
+    terms[0, 0] = 0.0
+    terms[0, 1] = float(bias)
+    np.multiply(coeffs[:, None], np.concatenate([f.slopes for f in fs])[idx], out=terms[1:, 0])
+    np.multiply(coeffs[:, None], np.concatenate([f.intercepts for f in fs])[idx], out=terms[1:, 1])
+    # One add per term, in order: a reduction may sum pairwise, and
+    # np.add.accumulate runs one inner loop per cell.
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return normalize(_engine_built(merged, total[0].copy(), total[1].copy()))
 
 
 def activate(act, f: PwlFunction1D):
@@ -257,7 +299,7 @@ def activate(act, f: PwlFunction1D):
     # regrouping a * 0.5 * (lo + hi) moves states for subnormal slopes
     state = act.boundaries.searchsorted(a * 0.5 * (lo + hi) + c, side="right")
     m, q = act.slopes[state], act.intercepts[state]
-    output = normalize(PwlFunction1D(lo[lo > 0.0], m * a, m * c + q))
+    output = normalize(_engine_built(lo[lo > 0.0], m * a, m * c + q))
 
     first = np.concatenate(([True], state[1:] != state[:-1])).nonzero()[0]
     last = np.concatenate((first[1:] - 1, [state.size - 1]))

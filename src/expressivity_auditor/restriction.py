@@ -19,7 +19,7 @@ import numpy as np
 from . import pwl
 from .activations import PwlActivation
 from .bounds import breakpoint_upper_bound_exact
-from .errors import UnsupportedActivationError
+from .errors import PreconditionError, UnsupportedActivationError
 from .netgraph import OUTPUT_ID, Network, Segment, depth_profile, hidden_ancestors, require_valid
 from .report import upper_audit
 
@@ -58,28 +58,36 @@ def restrict(net: Network, seg: Segment) -> LineRestriction:
             raise UnsupportedActivationError(
                 f"unit {u.uid!r} has a non-piecewise-linear activation"
             )
-    fns = {
-        uid: pwl.PwlFunction1D.affine(seg.y[i] - seg.x[i], seg.x[i])
-        for i, uid in enumerate(net.input_ids)
-    }
-    pre_activation, unit_output, state_traces = {}, {}, {}
-    for uid in net.topo_order:
-        unit = net.unit_map[uid]
-        in_edges = net.in_edges[uid]
-        pre = pwl.affine_combine(
-            [e.weight for e in in_edges], [fns[e.src] for e in in_edges], bias=unit.bias
-        )
-        pre_activation[uid] = pre
-        out, state_traces[uid] = pwl.activate(unit.activation, pre)
-        fns[uid] = unit_output[uid] = out
-    out_edges = net.in_edges[OUTPUT_ID]
-    if out_edges:
-        output = pwl.affine_combine(
-            [e.weight for e in out_edges], [fns[e.src] for e in out_edges],
-            bias=net.output_bias,
-        )
-    else:
-        output = pwl.PwlFunction1D.constant(net.output_bias)
+    fns, pre_activation, unit_output, state_traces = {}, {}, {}, {}
+    try:
+        # An overflow leaves a non-finite piece, whose finiteness check
+        # raises the only ValueError here; numpy's warnings would only
+        # repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, uid in enumerate(net.input_ids):
+                fns[uid] = pwl.PwlFunction1D.affine(seg.y[i] - seg.x[i], seg.x[i])
+            for uid in net.topo_order:
+                unit = net.unit_map[uid]
+                in_edges = net.in_edges[uid]
+                pre = pwl.affine_combine(
+                    [e.weight for e in in_edges], [fns[e.src] for e in in_edges], bias=unit.bias
+                )
+                pre_activation[uid] = pre
+                out, state_traces[uid] = pwl.activate(unit.activation, pre)
+                fns[uid] = unit_output[uid] = out
+            uid = OUTPUT_ID
+            out_edges = net.in_edges[OUTPUT_ID]
+            if out_edges:
+                output = pwl.affine_combine(
+                    [e.weight for e in out_edges], [fns[e.src] for e in out_edges],
+                    bias=net.output_bias,
+                )
+            else:
+                output = pwl.PwlFunction1D.constant(net.output_bias)
+    except ValueError:
+        raise PreconditionError(
+            f"restricting {uid!r} to the segment overflows binary64"
+        ) from None
     return LineRestriction(net, seg, pre_activation, unit_output, output, state_traces)
 
 

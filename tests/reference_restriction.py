@@ -1,11 +1,11 @@
 """Reference restriction engine for differential tests.
 
 A verbatim copy of the scalar engine that the array engine in `pwl`,
-`restriction` and `netgraph` replaced: the per-piece activation cut (run
-twice per unit, once for the output and once for the state trace), the loop
-`normalize`, the graph walk in `hidden_ancestors` and the per-cluster loop in
-`transitions`. Only the imports differ. The array engine must reproduce it
-byte for byte.
+`restriction` and `netgraph` replaced: the per-in-edge loop of
+`affine_combine`, the per-piece activation cut (run twice per unit, once for
+the output and once for the state trace), the loop `normalize`, the graph
+walk in `hidden_ancestors` and the per-cluster loop in `transitions`. Only
+the imports differ. The array engine must reproduce it byte for byte.
 """
 
 from __future__ import annotations

@@ -96,6 +96,23 @@ def test_breakpoints_dimension_mismatch(capsys, tent2_path):
     assert "error" in err
 
 
+def test_breakpoints_overflow_exits_one(capsys, tmp_path):
+    # 1e308 * (1e308 * x1) overflows: the output piece is inf - inf = NaN
+    relu = builtin_activation("relu")
+    net = Network(1, [Unit("a", 0.0, relu), Unit("b", 0.0, relu)], [
+        Edge("x1", "a", 1e308), Edge("x1", "b", 1e308),
+        Edge("a", "out", 1e308), Edge("b", "out", -1e308),
+    ])
+    path = tmp_path / "overflow.json"
+    save_network(net, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, ["breakpoints", "--net", str(path),
+                                    "--from", "0", "--to", "1"])
+    assert (rc, out, err) == (
+        1, "", "error: restricting 'out' to the segment overflows binary64\n")
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_to_file(capsys, tmp_path):
@@ -263,6 +280,27 @@ def test_swap_overflow_exits_one(capsys, tmp_path):
                                     "--act2", "relu", "--A", "1e308", "--json"])
     assert (rc, out) == (1, "")
     assert err.startswith("error: network outputs or pre-activations overflow")
+    assert err.count("\n") == 1
+
+
+def test_swap_gap_range_overflow_exits_one(capsys, tmp_path):
+    # finite outputs, but the pre-activations span about [-1e308, 1e308], so
+    # the width of the gap grid overflows
+    relu = builtin_activation("relu")
+    net = Network(1, [Unit("a", 0.0, relu), Unit("b", 0.0, relu)], [
+        Edge("x1", "a", 1e308), Edge("x1", "b", -1e308),
+        Edge("a", "out", 1e-300), Edge("b", "out", 1.0),
+    ])
+    path = tmp_path / "wide.json"
+    save_network(net, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, ["swap", "--net", str(path), "--act1", "relu",
+                                    "--act2", "leaky-relu(0.01)", "--A", "1e308",
+                                    "--samples", "100"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: activation gap range [")
+    assert err.endswith("] is wider than binary64 can hold\n")
     assert err.count("\n") == 1
 
 

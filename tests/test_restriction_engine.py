@@ -344,6 +344,78 @@ def test_normalize_matches_reference_near_collinear():
         assert fn_bytes(pwl.affine_combine(coeffs, h)) == fn_bytes(ref.affine_combine(coeffs, h))
 
 
+# ------------------------------------------------- affine combine gather
+
+def assert_combine_matches(coeffs, fs, bias=0.0):
+    assert fn_bytes(pwl.affine_combine(coeffs, fs, bias)) == fn_bytes(
+        ref.affine_combine(coeffs, fs, bias))
+
+
+def test_combine_many_edges_into_one_cell():
+    # With one cell the terms form one column; a pairwise sum of eight or
+    # more of them rounds differently from the edge-by-edge sum.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        k = int(rng.integers(8, 40))
+        fs = [PwlFunction1D.affine(*rng.normal(size=2) * rng.choice([1.0, 1e8, 1e-8], 2))
+              for _ in range(k)]
+        assert_combine_matches(rng.normal(size=k), fs, float(rng.normal()))
+
+
+def test_combine_predecessors_without_breakpoints():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        fs = [random_pwl(rng) if rng.random() < 0.4 else PwlFunction1D.constant(rng.normal())
+              for _ in range(int(rng.integers(1, 12)))]
+        assert_combine_matches(rng.normal(size=len(fs)), fs, float(rng.normal()))
+
+
+def test_combine_coalesced_breakpoints():
+    # Chains of breakpoints 0.9 * COALESCE_TOL apart coalesce into one knot,
+    # and a long chain puts breakpoints right of its cell's midpoint, some
+    # right of every midpoint.
+    rng = np.random.default_rng(41)
+    t = 0.9 * COALESCE_TOL
+    for _ in range(300):
+        fs = []
+        for _ in range(int(rng.integers(2, 10))):
+            anchor = rng.choice([0.25, 0.5, 1.0 - 12 * t, float(rng.random())])
+            bp = np.unique(anchor + t * rng.integers(0, 12, size=int(rng.integers(0, 6))))
+            bp = bp[(bp > 0.0) & (bp < 1.0)]
+            fs.append(PwlFunction1D(bp, rng.normal(size=bp.size + 1), rng.normal(size=bp.size + 1)))
+        assert_combine_matches(rng.normal(size=len(fs)), fs, float(rng.normal()))
+
+
+def test_combine_signed_zero_products():
+    neg = PwlFunction1D([0.5], [-1.0, 0.0], [-0.0, -2.0])
+    pos = PwlFunction1D([0.25], [1.0, 0.0], [0.0, 3.0])
+    flat = PwlFunction1D.constant(-0.0)
+    for coeffs in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [1.0, -0.0, -0.0]):
+        for bias in (0.0, -0.0):
+            assert_combine_matches(coeffs, [neg, pos, flat], bias)
+    # the first term -0.0 meets the slope accumulator's +0.0
+    out = pwl.affine_combine([-0.0], [pos], -0.0)
+    assert np.signbit(out.intercepts).all() and not np.signbit(out.slopes).any()
+
+
+def test_combine_step_jumps():
+    step = builtin_activation("step")
+    rng = np.random.default_rng(43)
+    jumps = 0
+    for _ in range(100):
+        fs = [pwl.activate(step, random_pwl(rng))[0] for _ in range(int(rng.integers(2, 12)))]
+        jumps += sum(int(np.count_nonzero(np.subtract(*f.junction_values()))) for f in fs)
+        assert_combine_matches(rng.normal(size=len(fs)), fs, float(rng.normal()))
+    assert jumps > 100
+    net = random_network(2, 6, widths=[10] * 6, skip_prob=0.5, activation="step", seed=47)
+    seg = Segment([-1.0, 0.5], [1.5, -0.5])
+    new, old = restrict(net, seg), ref.restrict(net, seg)
+    assert fn_bytes(new.output) == fn_bytes(old.output)
+    for uid in net.unit_map:
+        assert fn_bytes(new.pre_activation[uid]) == fn_bytes(old.pre_activation[uid])
+    assert max(len(net.in_edges[uid]) for uid in net.unit_map) >= 8
+
+
 # -------------------------------------------------------- graph caches
 
 def test_network_validated_once(monkeypatch):
@@ -356,6 +428,39 @@ def test_network_validated_once(monkeypatch):
     restrict(net, seg)
     assert depth_profile(net) is depth_profile(net)
     assert len(calls) == 2
+
+
+def test_restrict_validates_only_its_inputs(monkeypatch):
+    # pieces the engine builds skip the full check; the inputs take it
+    calls = []
+    original = PwlFunction1D.__post_init__
+    monkeypatch.setattr(PwlFunction1D, "__post_init__",
+                        lambda f: calls.append(f) or original(f))
+    for act_name in PWL_ACTS:
+        net, seg = seeded_case(act_name, 5)
+        calls.clear()
+        restrict(net, seg)
+        assert len(calls) == net.n_inputs
+
+
+def root_nbytes(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+def test_restriction_holds_no_larger_buffers():
+    for act_name in ("relu", "hard-tanh", "step"):
+        net = random_network(2, 6, widths=[6] * 6, skip_prob=0.3, activation=act_name, seed=53)
+        r = restrict(net, Segment([0.1, 0.9], [0.8, 0.05]))
+        fns = [r.output, *r.pre_activation.values(), *r.unit_output.values()]
+        for f in fns:
+            for a in (f.breakpoints, f.slopes, f.intercepts):
+                assert root_nbytes(a) == a.nbytes
+                assert not a.flags.writeable
+    # a sliver dropped without a merge
+    f = pwl.normalize(PwlFunction1D([0.5, 0.5 + 0.5 * COALESCE_TOL], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]))
+    assert f.n_breakpoints == 1 and root_nbytes(f.breakpoints) == f.breakpoints.nbytes
 
 
 def test_hidden_ancestors_needs_valid_network():

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from expressivity_auditor import (
-    Box,
-    TargetFunction,
-    catalog,
-    check_target,
-    fd_gradient,
-    fd_hessian,
-    unit_box,
-)
+from expressivity_auditor import Box, TargetFunction, catalog, unit_box
+from fd_checks import check_target, fd_gradient, fd_hessian
 
 
 # ----------------------------------------------------------------------- box
