@@ -1,10 +1,10 @@
 """Empirical approximation machinery.
 
 uniform_interpolant_1d builds the best uniform-knot piecewise-linear
-approximation of a target along a segment; the *_breakpoint_audit functions
-check the measured piece counts of such approximants against the curvature and
-Laplacian floors; swap_audit compares two copies of a network that differ only
-in their activation function against the closed-form deviation cap.
+approximation of a target along a segment; curvature_breakpoint_audit checks
+the measured piece count of such an approximant against the curvature floor;
+swap_audit compares two copies of a network that differ only in their
+activation function against the closed-form deviation cap.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations, pwl
-from .bounds import activation_swap_bound, max_abs_laplacian, min_curvature
+from .bounds import activation_swap_bound, min_curvature
 from .errors import PreconditionError
 from .netgraph import Network, Segment, Unit, _evaluate, depth_profile, require_valid
 from .report import AuditReport, lower_audit
@@ -86,15 +86,6 @@ def uniform_interpolant_1d(g: TargetFunction, seg: Segment, s: int):
     return pwl.normalize(f0.shifted(shift)), achieved
 
 
-def _measured_eps(f1d, g, seg, eps) -> float:
-    measured = sup_error_on_segment(f1d, g, seg)
-    if measured > eps + 1e-12 * max(1.0, eps):
-        raise PreconditionError(
-            f"interpolant misses the requested error: measured {measured:.6g} > {eps:.6g}"
-        )
-    return measured
-
-
 def curvature_breakpoint_audit(
     g: TargetFunction, seg: Segment, f1d: pwl.PwlFunction1D, eps: float
 ) -> AuditReport:
@@ -104,7 +95,11 @@ def curvature_breakpoint_audit(
     over actual approximations); a small relative tolerance absorbs the
     sampling bias of that measurement in the equality-tight cases.
     """
-    e = _measured_eps(f1d, g, seg, eps)
+    e = sup_error_on_segment(f1d, g, seg)
+    if e > eps + 1e-12 * max(1.0, eps):
+        raise PreconditionError(
+            f"interpolant misses the requested error: measured {e:.6g} > {eps:.6g}"
+        )
     psi = min_curvature(g, seg.x, seg.y).value
     if psi <= 0.0:
         rhs = -1.0
@@ -117,31 +112,6 @@ def curvature_breakpoint_audit(
         float(f1d.n_breakpoints),
         rhs,
         parameters={"curvature": psi, "eps": e, "segment_length": seg.length},
-        tol=1e-6 * max(1.0, abs(rhs)),
-    )
-
-
-def laplacian_breakpoint_audit(
-    g: TargetFunction, seg: Segment, f1d: pwl.PwlFunction1D, eps: float
-) -> AuditReport:
-    """Check breakpoints(f1d) >= sqrt((max|lap|/n - d3*n^1.5)+ / (16 eps)) - 1
-    for targets on the unit box."""
-    if not (np.allclose(g.domain.lo, 0.0) and np.allclose(g.domain.hi, 1.0)):
-        raise ValueError("this floor is stated on the unit box domain")
-    e = _measured_eps(f1d, g, seg, eps)
-    max_lap, _ = max_abs_laplacian(g)
-    inner = max(0.0, max_lap / g.n - g.third_bound * g.n**1.5)
-    if inner <= 0.0:
-        rhs = -1.0
-    elif e <= 0.0:
-        rhs = math.inf
-    else:
-        rhs = math.sqrt(inner / (16.0 * e)) - 1.0
-    return lower_audit(
-        "breakpoints-vs-laplacian-floor",
-        float(f1d.n_breakpoints),
-        rhs,
-        parameters={"max_abs_laplacian": max_lap, "eps": e},
         tol=1e-6 * max(1.0, abs(rhs)),
     )
 

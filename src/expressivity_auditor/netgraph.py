@@ -151,7 +151,11 @@ class Segment:
             raise ValueError("segment endpoints must be 1-D points of equal dimension")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite endpoint")
-        if np.linalg.norm(y - x) == 0.0:
+        with np.errstate(over="ignore"):
+            length = np.linalg.norm(y - x)
+        if not np.isfinite(length):
+            raise ValueError("segment length overflows: y - x is not finite")
+        if length == 0.0:
             raise ValueError("degenerate segment: x == y")
         x.setflags(write=False)
         y.setflags(write=False)

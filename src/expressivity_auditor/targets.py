@@ -27,6 +27,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D of equal length")
+        if lo.size == 0:
+            raise ValueError("box needs at least one dimension")
         if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
             raise ValueError("non-finite box corner")
         if not np.all(hi > lo):

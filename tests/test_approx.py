@@ -1,17 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from expressivity_auditor import (
-    Box,
     PwlFunction1D,
     Sampler,
     Segment,
-    TargetFunction,
     catalog,
     curvature_breakpoint_audit,
-    laplacian_breakpoint_audit,
+    laplacian_lower_bound,
     random_network,
     sup_error_on_segment,
     swap_audit,
@@ -82,35 +81,26 @@ def test_curvature_floor_rejects_busted_budget():
 
 
 def test_laplacian_floor_equality_case():
+    # for x^2 on [0,1] the Laplacian floor is tight too: bound s-1 at the
+    # measured error of the s-piece interpolant, which has s-1 breakpoints
     g = catalog("sq_norm", 1)
     for s in (2, 4, 8):
-        f, achieved = uniform_interpolant_1d(g, SEG_1D, s)
-        rep = laplacian_breakpoint_audit(g, SEG_1D, f, achieved)
-        assert rep.verdict == "pass"
-        assert rep.bound == pytest.approx(s - 1, rel=1e-6)
+        f, _ = uniform_interpolant_1d(g, SEG_1D, s)
+        e = sup_error_on_segment(f, g, SEG_1D)
+        floor = laplacian_lower_bound(g, e, 2).multiplier / math.sqrt(e) - 1.0
+        assert f.n_breakpoints == s - 1
+        assert floor == pytest.approx(s - 1, rel=1e-6)
 
 
 def test_laplacian_floor_poly_diagonal():
     g = catalog("poly_a")
     seg = Segment([0.0, 0.0], [1.0, 1.0])
     for s in (4, 8, 16):
-        f, achieved = uniform_interpolant_1d(g, seg, s)
-        rep = laplacian_breakpoint_audit(g, seg, f, achieved)
-        assert rep.verdict == "pass"
-        assert rep.measured == s - 1
-        assert rep.bound < rep.measured
-
-
-def test_laplacian_floor_needs_unit_box():
-    base = catalog("sq_norm")
-    shifted = TargetFunction(
-        name="shifted", n=2, domain=Box([-1.0, -1.0], [1.0, 1.0]),
-        value_fn=base.value_fn, gradient_fn=base.gradient_fn,
-        hessian_fn=base.hessian_fn, third_bound=0.0,
-    )
-    f, achieved = uniform_interpolant_1d(base, Segment([0.0, 0.0], [1.0, 1.0]), 4)
-    with pytest.raises(ValueError):
-        laplacian_breakpoint_audit(shifted, Segment([-1.0, -1.0], [1.0, 1.0]), f, 1.0)
+        f, _ = uniform_interpolant_1d(g, seg, s)
+        e = sup_error_on_segment(f, g, seg)
+        floor = laplacian_lower_bound(g, e, 2).multiplier / math.sqrt(e) - 1.0
+        assert f.n_breakpoints == s - 1
+        assert floor < f.n_breakpoints
 
 
 # --------------------------------------------------------------- swap audit

@@ -252,5 +252,21 @@ def test_activation_swap_bound_validation():
 def test_bound_config_validation():
     with pytest.raises(ValueError):
         BoundConfig(epsilon=0.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be"):
+            BoundConfig(epsilon=eps)
+
+
+def test_floors_reject_non_finite_epsilon():
+    g = catalog("sq_norm")
+    calls = [
+        lambda e: hidden_units_floor(1.0, e, 2),
+        lambda e: strong_convexity_lower_bound(2.0, 1.0, e, 2),
+        lambda e: depth_scaled_lower_bound(g, 2, e),
+        lambda e: laplacian_lower_bound(g, e, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            call(math.inf)
     with pytest.raises(ValueError):
         BoundConfig(t=0)

@@ -96,6 +96,16 @@ def test_breakpoints_dimension_mismatch(capsys, tent2_path):
     assert "error" in err
 
 
+def test_breakpoints_overflowing_segment(capsys, tent2_path):
+    # both endpoints are finite, but y - x overflows binary64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, ["breakpoints", "--net", tent2_path,
+                                    "--from=-1e308", "--to=1e308"])
+    assert (rc, out, err) == (
+        1, "", "error: segment length overflows: y - x is not finite\n")
+
+
 def test_breakpoints_overflow_exits_one(capsys, tmp_path):
     # 1e308 * (1e308 * x1) overflows: the output piece is inf - inf = NaN
     relu = builtin_activation("relu")
@@ -233,6 +243,23 @@ def test_lower_bound_bad_target(capsys):
     rc, _, err = run(capsys, ["lower-bound", "--target", "nope!!"])
     assert rc == 1
     assert "error" in err
+
+
+THEOREMS = ["1", "2", "weak", "cor1", "cor2"]
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_lower_bound_zero_dimensional_target(capsys, theorem):
+    rc, out, err = run(capsys, ["lower-bound", "--target", "sq_norm(0)",
+                                "--theorem", theorem, "--depth", "2"])
+    assert (rc, out, err) == (1, "", "error: box needs at least one dimension\n")
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_lower_bound_non_finite_epsilon(capsys, theorem):
+    rc, out, err = run(capsys, ["lower-bound", "--target", "sq_norm", "--epsilon", "inf",
+                                "--theorem", theorem, "--depth", "2"])
+    assert (rc, out, err) == (1, "", "error: epsilon must be finite\n")
 
 
 # ---------------------------------------------------------------------- swap

@@ -94,6 +94,28 @@ def test_min_curvature_frozen(x, y, value, alpha, gamma):
     assert (sc.value, sc.minimizing_alpha, sc.gamma_at_min, sc.sign_at_min) == (value, alpha, gamma, 1)
 
 
+@pytest.mark.parametrize("lookahead", range(1, 7))
+def test_min_curvature_frozen_at_any_lookahead(lookahead, monkeypatch):
+    monkeypatch.setattr(bounds, "REFINE_LOOKAHEAD", lookahead)
+    for x, y, value, alpha, gamma in FROZEN_SEGMENTS:
+        sc = min_curvature(quartic_bowl(), x, y)
+        assert (sc.value, sc.minimizing_alpha, sc.gamma_at_min) == (value, alpha, gamma)
+
+
+def test_poly_a_floor_call_counts(monkeypatch):
+    # The polish starts at a corner pair that its first pass does not move,
+    # so it makes one pass; each refinement takes 4 golden steps per Hessian.
+    curvature_calls, hessian_calls = [], []
+    original_curvature, original_hessian = bounds.min_curvature, TargetFunction.hessian
+    monkeypatch.setattr(bounds, "min_curvature",
+                        lambda g, x, y: curvature_calls.append(x) or original_curvature(g, x, y))
+    monkeypatch.setattr(TargetFunction, "hessian",
+                        lambda g, x: hessian_calls.append(x) or original_hessian(g, x))
+    curvature_lower_bound(catalog("poly_a"))
+    assert len(curvature_calls) <= 97
+    assert len(hessian_calls) <= 1500
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["--target", "poly_a"], "6fe0a8a2f9529dc8df4a4d451adc51c0"),
     (["--target", "sq_norm(4)"], "8fdc1b3827025fa4a6e546cf5693da3c"),
@@ -172,7 +194,7 @@ def test_golden_min_batch_tie_rules():
     # A flat function ties everywhere: strict < keeps lo, like golden_min.
     lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 4.0])
     xs, fs = golden_min_batch(lambda a: np.zeros_like(a), lo, hi)
-    assert xs.tolist() == [golden_min(lambda a: 0.0, a, b)[0] for a, b in zip(lo, hi)]
+    assert xs.tolist() == [golden_min(np.zeros_like, a, b)[0] for a, b in zip(lo, hi)]
     assert xs.tolist() == lo.tolist() and fs.tolist() == [0.0, 0.0, 0.0]
 
 

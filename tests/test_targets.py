@@ -23,6 +23,8 @@ def test_box_validation():
         Box([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         Box([0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="at least one dimension"):
+        Box([], [])
 
 
 def test_box_sampling_deterministic():
@@ -86,6 +88,8 @@ def test_catalog_rejects_bad_requests():
         catalog("unknown_target")
     with pytest.raises(ValueError):
         catalog("poly_a", 3)  # two-variable polynomial only
+    with pytest.raises(ValueError, match="at least one dimension"):
+        catalog("sq_norm", 0)
 
 
 def test_laplacian_batched():
