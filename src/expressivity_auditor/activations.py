@@ -229,13 +229,6 @@ def quantization_gap(bits: int) -> ActivationGap:
     return ActivationGap(2.0**-bits)
 
 
-def piece_count(act) -> int:
-    """t of a piecewise-linear activation."""
-    if isinstance(act, PwlActivation):
-        return act.t
-    raise UnsupportedActivationError(f"activation {getattr(act, 'name', act)!r} has no piece count")
-
-
 def lipschitz_constant(act) -> float:
     """Lipschitz constant: declared for opaque activations, max |slope| for
     continuous piecewise-linear ones."""

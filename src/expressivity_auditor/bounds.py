@@ -361,9 +361,13 @@ def laplacian_lower_bound(g: TargetFunction, epsilon: float, t: int) -> Laplacia
     multiplier, and the matching log_t hidden-unit floor.
 
     delta3 is the target's uniform third-derivative bound; the positive part
-    clamps the multiplier to 0 when curvature is drowned out.
+    clamps the multiplier to 0 when curvature is drowned out. The floor is
+    stated on the unit box [0, 1]^n, so any other domain is rejected.
     """
     _check_epsilon(epsilon)
+    if not (np.all(g.domain.lo == 0.0) and np.all(g.domain.hi == 1.0)):
+        raise ValueError(f"the Laplacian floor is stated on the unit box [0, 1]^{g.n}, "
+                         f"not on {g.name}'s domain")
     max_lap, at = max_abs_laplacian(g)
     n = g.n
     inner = max(0.0, max_lap / n - g.third_bound * n**1.5)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 
 from .activations import builtin_activation
-from .netgraph import Segment, depth_profile, random_network
+from .netgraph import MAX_WEIGHT_BOUND, MIN_ABS_WEIGHT, Segment, depth_profile, random_network
 from .report import PASS
 from .restriction import audit_transition_inequalities, break_points, restrict
 
@@ -53,8 +54,16 @@ class CampaignSpec:
         object.__setattr__(self, "activations", tuple(self.activations))
         if not self.n_choices or min(self.n_choices) < 1:
             raise ValueError("n_choices must list dimensions >= 1")
-        if self.depth_max < 1 or self.width_max < 1:
-            raise ValueError("depth_max and width_max must be >= 1")
+        for name in ("depth_max", "width_max"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if not (isinstance(self.skip_prob, Real) and 0.0 <= self.skip_prob <= 1.0):
+            raise ValueError(f"skip_prob must be in [0, 1], got {self.skip_prob!r}")
+        bound = self.weight_bound  # random_network's rule, checked before any trial runs
+        if not (isinstance(bound, Real) and MIN_ABS_WEIGHT < bound <= MAX_WEIGHT_BOUND):
+            raise ValueError(f"weight_bound must be in ({MIN_ABS_WEIGHT}, {MAX_WEIGHT_BOUND:.3g}], "
+                             f"got {bound!r}")
         if not self.activations:
             raise ValueError("need at least one activation name")
         for name in self.activations:
@@ -110,8 +119,9 @@ def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
     span = spec.segment_hi - spec.segment_lo
     x = spec.segment_lo + rng.random(n) * span
     y = spec.segment_lo + rng.random(n) * span
-    while np.linalg.norm(y - x) < 1e-6:
-        y = spec.segment_lo + rng.random(n) * span
+    with np.errstate(over="ignore"):  # an overflowing length is Segment's error to report
+        while np.linalg.norm(y - x) < 1e-6:
+            y = spec.segment_lo + rng.random(n) * span
     r = restrict(net, Segment(x, y))
     reports = {rep.kind: rep for rep in audit_transition_inequalities(r)}
     verdicts = {kind: rep.verdict == PASS for kind, rep in reports.items()}

@@ -14,10 +14,13 @@ rational |hidden| / depth (kept as a Fraction so bound formulas see 8/3, not
 from __future__ import annotations
 
 import json
+import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Any
 
 import numpy as np
@@ -28,6 +31,7 @@ from .errors import ValidationError
 OUTPUT_ID = "out"
 _INPUT_ID_RE = re.compile(r"^x([1-9][0-9]*)$")
 MIN_ABS_WEIGHT = 1e-3  # rejection threshold used by random_network
+MAX_WEIGHT_BOUND = float(np.finfo(float).max) / 2  # above it, 2 * weight_bound overflows
 
 
 @dataclass(frozen=True)
@@ -81,20 +85,15 @@ class Network:
     @cached_property
     def topo_order(self):
         """Hidden unit ids in a topological order (definition order among ties)."""
-        hidden = set(self.unit_map)
-        remaining_preds = {
-            u.uid: {e.src for e in self.in_edges.get(u.uid, ()) if e.src in hidden} for u in self.units
-        }
-        order = []
-        ready = [u.uid for u in self.units if not remaining_preds[u.uid]]
-        while ready:
-            uid = ready.pop(0)
-            order.append(uid)
+        hidden = self.unit_map
+        preds = {u.uid: {e.src for e in self.in_edges[u.uid] if e.src in hidden} for u in self.units}
+        order = [u.uid for u in self.units if not preds[u.uid]]
+        for uid in order:  # a FIFO queue: ready units are appended while it is read
             for e in self.out_edges.get(uid, ()):
-                if e.dst in remaining_preds and uid in remaining_preds[e.dst]:
-                    remaining_preds[e.dst].discard(uid)
-                    if not remaining_preds[e.dst]:
-                        ready.append(e.dst)
+                if uid in preds.get(e.dst, ()):
+                    preds[e.dst].discard(uid)
+                    if not preds[e.dst]:
+                        order.append(e.dst)
         return tuple(order)
 
     # The network is frozen, so these are computed once per instance.
@@ -110,12 +109,9 @@ class Network:
         for uid in self.topo_order:
             depth_of[uid] = 1 + max(depth_of[e.src] for e in self.in_edges[uid])
         d = max(depth_of[u.uid] for u in self.units)
-        layers = tuple(
-            tuple(u.uid for u in self.units if depth_of[u.uid] == level) for level in range(1, d + 1)
-        )
-        widths = tuple(len(layer) for layer in layers)
-        width = Fraction(len(self.units), d)
-        return DepthProfile({u.uid: depth_of[u.uid] for u in self.units}, d, layers, widths, width)
+        layers = tuple(tuple(u.uid for u in self.units if depth_of[u.uid] == lv) for lv in range(1, d + 1))
+        return DepthProfile({u.uid: depth_of[u.uid] for u in self.units}, d, layers,
+                            tuple(len(layer) for layer in layers), Fraction(len(self.units), d))
 
     @cached_property
     def _ancestors(self):
@@ -189,7 +185,7 @@ def validate(net: Network) -> list:
         violations.append("n_inputs must be >= 1")
     if not net.units:
         violations.append("no hidden units: depth and width are undefined")
-    if not np.isfinite(net.output_bias):
+    if not math.isfinite(net.output_bias):
         violations.append("non-finite output bias")
     inputs = set(net.input_ids)
     hidden = [u.uid for u in net.units]
@@ -201,7 +197,7 @@ def validate(net: Network) -> list:
         if uid == OUTPUT_ID or _INPUT_ID_RE.match(uid):
             violations.append(f"unit id {uid!r} is reserved")
     for u in net.units:
-        if not np.isfinite(u.bias):
+        if not math.isfinite(u.bias):
             violations.append(f"non-finite bias on unit {u.uid!r}")
     known_src = inputs | hidden_set
     seen_pairs = set()
@@ -215,16 +211,13 @@ def validate(net: Network) -> list:
         seen_pairs.add((e.src, e.dst))
         if e.weight == 0.0:
             violations.append(f"zero weight on edge {e.src!r}->{e.dst!r}")
-        if not np.isfinite(e.weight):
+        if not math.isfinite(e.weight):
             violations.append(f"non-finite weight on edge {e.src!r}->{e.dst!r}")
     if violations:
         return violations
     if len(net.topo_order) != len(net.units):
-        stuck = sorted(hidden_set - set(net.topo_order))
-        violations.append(f"cycle among units {stuck}")
-        return violations
-    # Reachability both ways.
-    fwd = set(inputs)
+        return [f"cycle among units {sorted(hidden_set - set(net.topo_order))}"]
+    fwd = set(inputs)  # reachability both ways
     for uid in net.topo_order:
         if any(e.src in fwd for e in net.in_edges[uid]):
             fwd.add(uid)
@@ -310,16 +303,8 @@ def _evaluate(net: Network, x: np.ndarray):
     return out, {u.uid: values[u.uid] for u in net.units}, pre_acts
 
 
-def random_network(
-    n,
-    depth,
-    widths=None,
-    max_width=None,
-    skip_prob=0.0,
-    weight_bound=1.0,
-    activation="relu",
-    seed=0,
-) -> Network:
+def random_network(n, depth, widths=None, max_width=None, skip_prob=0.0, weight_bound=1.0,
+                   activation="relu", seed=0) -> Network:
     """Deterministic random layered network.
 
     Adjacent layers are densely wired (so the requested depth is exact and
@@ -327,56 +312,77 @@ def random_network(
     hidden unit to a layer at least two levels deeper, or a non-final hidden
     unit straight to the output) is included independently with probability
     skip_prob. Weights are uniform on [-weight_bound, weight_bound], redrawn
-    while |w| < 1e-3; biases use the same range without rejection.
+    while |w| < MIN_ABS_WEIGHT; biases use the same range without rejection.
+
+    The generator is one stream of doubles, one per draw, read in this order:
+    widths (max_width only), biases, dense weights, per skip candidate a coin
+    (kept if < skip_prob) and a kept coin's weight, the last layer's output
+    weights, then the output skips' coins and weights; rejected weights drop
+    out. Draws come in bulk, none larger than what the rest is sure to read,
+    so the net and the generator's final state are those of one draw per call.
     """
     if n < 1 or depth < 1:
         raise ValueError("need n >= 1 and depth >= 1")
     if (widths is None) == (max_width is None):
         raise ValueError("give exactly one of widths / max_width")
-    if not 0.0 <= skip_prob <= 1.0:
+    if not (isinstance(skip_prob, Real) and 0.0 <= skip_prob <= 1.0):
         raise ValueError("skip_prob must be in [0, 1]")
-    if not weight_bound > 0.0:
-        raise ValueError("weight_bound must be positive")
+    if not (isinstance(weight_bound, Real) and MIN_ABS_WEIGHT < weight_bound <= MAX_WEIGHT_BOUND):
+        raise ValueError(f"weight_bound must be in ({MIN_ABS_WEIGHT}, {MAX_WEIGHT_BOUND:.3g}], "
+                         f"got {weight_bound!r}")
     act = builtin_activation(activation) if isinstance(activation, str) else activation
     rng = np.random.default_rng(seed)
-    if widths is None:
-        widths = tuple(int(w) for w in rng.integers(1, max_width + 1, size=depth))
-    else:
-        widths = tuple(int(w) for w in widths)
-        if len(widths) != depth or any(w < 1 for w in widths):
-            raise ValueError("widths must list a positive size per layer")
-
-    def draw_weight():
-        while True:
-            w = float(rng.uniform(-weight_bound, weight_bound))
-            if abs(w) >= MIN_ABS_WEIGHT:
-                return w
-
+    widths = rng.integers(1, max_width + 1, size=depth) if widths is None else widths
+    widths = tuple(int(w) for w in widths)
+    if len(widths) != depth or min(widths) < 1:
+        raise ValueError("widths must list a positive size per layer")
+    lo, hi = -float(weight_bound), float(weight_bound)
     layer_ids = [[f"u{i + 1}_{j + 1}" for j in range(widths[i])] for i in range(depth)]
-    units = [
-        Unit(uid, float(rng.uniform(-weight_bound, weight_bound)), act)
-        for layer in layer_ids
-        for uid in layer
-    ]
-    edges = []
+    ids = [uid for layer in layer_ids for uid in layer]
+    units = [Unit(uid, b, act) for uid, b in zip(ids, rng.uniform(lo, hi, size=len(ids)).tolist())]
     inputs = [f"x{i}" for i in range(1, n + 1)]
-    for i in range(depth):
-        prev = inputs if i == 0 else layer_ids[i - 1]
-        for uid in layer_ids[i]:
-            for src in prev:
-                edges.append(Edge(src, uid, draw_weight()))
-    for i in range(depth):  # skip edges from >= 2 levels above
-        sources = (inputs if i >= 1 else []) + [uid for j in range(i - 1) for uid in layer_ids[j]]
-        for uid in layer_ids[i]:
-            for src in sources:
-                if rng.random() < skip_prob:
-                    edges.append(Edge(src, uid, draw_weight()))
-    for uid in layer_ids[-1]:
-        edges.append(Edge(uid, OUTPUT_ID, draw_weight()))
-    for i in range(depth - 1):
-        for uid in layer_ids[i]:
-            if rng.random() < skip_prob:
-                edges.append(Edge(uid, OUTPUT_ID, draw_weight()))
+    dense, m = np.empty(0), sum(w * f for w, f in zip(widths, (n,) + widths))
+    while dense.size < m:  # the kept draws, in order, until there are m of them
+        more = rng.uniform(lo, hi, size=m - dense.size)
+        dense = np.concatenate((dense, more[np.abs(more) >= MIN_ABS_WEIGHT]))
+    dense = iter(dense.tolist())
+    edges = [Edge(src, uid, next(dense)) for i in range(depth)
+             for uid in layer_ids[i] for src in (layer_ids[i - 1] if i else inputs)]
+    buf, hits, pos = [], [], 0  # a bulk draw, offsets of its values < skip_prob + [len], next offset
+
+    def draw(need):  # the next double; the walk is sure to consume `need` more, this one included
+        nonlocal buf, hits, pos
+        if pos == len(buf):
+            buf, pos = rng.random(min(need, 1024)).tolist(), 0
+            hits = [i for i, u in enumerate(buf) if u < skip_prob] + [len(buf)]  # as each coin compares
+        pos += 1
+        return buf[pos - 1]
+
+    def weight(need):
+        w = 0.0
+        while abs(w) < MIN_ABS_WEIGHT:
+            w = lo + (hi - lo) * draw(need)  # what Generator.uniform(lo, hi) returns
+        return w
+
+    def coins(k, after):  # (index, weight) of each kept coin among k, with `after` draws to follow
+        nonlocal pos
+        kept, c = [], 0
+        while c < k:
+            if draw(k - c + after) < skip_prob:
+                kept.append((c, weight(k - c + after)))
+            c += 1
+            nxt = min(hits[bisect_left(hits, pos)], pos + k - c)  # drop coins before the next kept one
+            c, pos = c + nxt - pos, nxt
+        return kept
+
+    left = sum(widths) + sum(w * (n + sum(widths[: i - 1])) for i, w in enumerate(widths) if i)
+    for i in range(1, depth):  # skip edges from >= 2 levels above
+        sources = inputs + [uid for j in range(i - 1) for uid in layer_ids[j]]
+        left -= widths[i] * len(sources)
+        edges += [Edge(sources[r % len(sources)], layer_ids[i][r // len(sources)], w)
+                  for r, w in coins(widths[i] * len(sources), left)]
+    edges += [Edge(uid, OUTPUT_ID, weight(left - j)) for j, uid in enumerate(layer_ids[-1])]
+    edges += [Edge(ids[r], OUTPUT_ID, w) for r, w in coins(len(ids) - widths[-1], 0)]
     net = Network(n, tuple(units), tuple(edges))
     require_valid(net)  # dense adjacent wiring keeps this vacuous
     return net
@@ -399,18 +405,14 @@ def _encode_activation(act):
 
 
 def _decode_activation(obj):
-    if isinstance(obj, str):
-        return builtin_activation(obj)
-    return PwlActivation.from_json(obj)
+    return builtin_activation(obj) if isinstance(obj, str) else PwlActivation.from_json(obj)
 
 
 def network_to_json(net: Network) -> dict:
     doc = {
         "n_inputs": net.n_inputs,
-        "units": [
-            {"id": u.uid, "bias": u.bias, "activation": _encode_activation(u.activation)}
-            for u in net.units
-        ],
+        "units": [{"id": u.uid, "bias": u.bias, "activation": _encode_activation(u.activation)}
+                  for u in net.units],
         "edges": [{"from": e.src, "to": e.dst, "weight": e.weight} for e in net.edges],
     }
     if net.output_bias != 0.0:
@@ -423,10 +425,8 @@ def network_from_json(doc: dict) -> Network:
         n_inputs = doc["n_inputs"]
         if not isinstance(n_inputs, int) or isinstance(n_inputs, bool):
             raise ValueError(f"malformed network document: n_inputs {n_inputs!r} is not an integer")
-        units = tuple(
-            Unit(str(u["id"]), float(u["bias"]), _decode_activation(u["activation"]))
-            for u in doc["units"]
-        )
+        units = tuple(Unit(str(u["id"]), float(u["bias"]), _decode_activation(u["activation"]))
+                      for u in doc["units"])
         edges = tuple(Edge(str(e["from"]), str(e["to"]), float(e["weight"])) for e in doc["edges"])
         return Network(n_inputs, units, edges, float(doc.get("output_bias", 0.0)))
     except (KeyError, TypeError) as exc:

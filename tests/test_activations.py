@@ -8,7 +8,6 @@ from expressivity_auditor import (
     builtin_activation,
     gap,
     lipschitz_constant,
-    piece_count,
     quantization_gap,
 )
 from expressivity_auditor.errors import UnsupportedActivationError
@@ -96,12 +95,10 @@ def test_gap_validation():
 
 
 def test_piece_count_and_lipschitz_dispatch():
-    assert piece_count(builtin_activation("relu")) == 2
-    assert piece_count(builtin_activation("hard-tanh")) == 3
+    assert builtin_activation("relu").t == 2
+    assert builtin_activation("hard-tanh").t == 3
     assert lipschitz_constant(builtin_activation("relu")) == 1.0
     assert lipschitz_constant(builtin_activation("hard-tanh")) == 1.0
-    with pytest.raises(UnsupportedActivationError):
-        piece_count(builtin_activation("sigmoid"))
     with pytest.raises(UnsupportedActivationError):
         lipschitz_constant(builtin_activation("step"))
 

@@ -218,6 +218,20 @@ def test_laplacian_lower_bound_clamps():
     assert res.hidden_units_lb == 0.0
 
 
+def test_laplacian_lower_bound_needs_unit_box():
+    # the floor is stated on [0, 1]^n; off it the same multiplier would be wrong
+    from expressivity_auditor import Box, TargetFunction
+
+    g = catalog("sq_norm")
+    for lo, hi in (([0.0, 0.0], [10.0, 10.0]), ([-1.0, -1.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 2.0])):
+        moved = TargetFunction(
+            name="moved", n=2, domain=Box(lo, hi), value_fn=g.value_fn,
+            gradient_fn=g.gradient_fn, hessian_fn=g.hessian_fn, third_bound=0.0,
+        )
+        with pytest.raises(ValueError, match="unit box"):
+            laplacian_lower_bound(moved, 1e-4, 2)
+
+
 # ----------------------------------------------------------------- swap bound
 
 def test_activation_swap_bound_values():

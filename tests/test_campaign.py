@@ -94,6 +94,17 @@ def test_campaign_spec_validation():
         run_campaign(CampaignSpec(), -1, seed=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"depth_max": 2.5}, {"depth_max": 0}, {"width_max": "3"}, {"width_max": True},
+    {"skip_prob": -0.1}, {"skip_prob": 1.5}, {"skip_prob": "0.3"}, {"skip_prob": float("nan")},
+    {"weight_bound": 1e-3}, {"weight_bound": 1e-4}, {"weight_bound": float("inf")},
+    {"weight_bound": 1e308}, {"weight_bound": "1"}, {"weight_bound": float("nan")},
+])
+def test_campaign_spec_rejects_bad_draw_parameters(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        CampaignSpec(**kwargs)
+
+
 def test_custom_spec_respected():
     spec = CampaignSpec(n_choices=(2,), depth_max=1, width_max=2,
                         activations=("hard-tanh",))

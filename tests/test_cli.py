@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from expressivity_auditor import (
 )
 from expressivity_auditor.cli import main
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 @pytest.fixture
 def tent2_path(tmp_path, tent2_net):
@@ -26,6 +32,22 @@ def run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_module(argv):
+    """`python -m expressivity_auditor ...` in a child process, which a hang
+    fails after 60 s instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "expressivity_auditor", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point(capsys):
+    proc = run_module(["verify", "--trials", "3", "--seed", "5"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(
+        capsys, ["verify", "--trials", "3", "--seed", "5"])
+    assert proc.stdout.startswith("# expressivity-auditor v1\n")
+    assert proc.stdout.endswith("\ntrials 3, violations 0 -> -\n")
 
 
 # ------------------------------------------------------------------- analyze
@@ -172,6 +194,42 @@ def test_verify_bad_spec(capsys, tmp_path):
     rc, _, err = run(capsys, ["verify", "--spec", str(spec_path), "--trials", "1"])
     assert rc == 1
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"weight_bound": 1e308}, "weight_bound must be in (0.001, 8.99e+307], got 1e+308"),
+    ({"weight_bound": float("inf")}, "weight_bound must be in (0.001, 8.99e+307], got inf"),
+    ({"weight_bound": "1"}, "weight_bound must be in (0.001, 8.99e+307], got '1'"),
+    ({"depth_max": 2.5}, "depth_max must be an integer >= 1, got 2.5"),
+    ({"width_max": True}, "width_max must be an integer >= 1, got True"),
+    ({"skip_prob": "0.3"}, "skip_prob must be in [0, 1], got '0.3'"),
+    ({"skip_prob": float("nan")}, "skip_prob must be in [0, 1], got nan"),
+])
+def test_verify_rejects_bad_draw_parameters(capsys, tmp_path, doc, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--spec", str(spec_path), "--trials", "3"])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_verify_tiny_weight_bound_exits_one(tmp_path):
+    # every draw from [-1e-4, 1e-4] fails the |w| >= 1e-3 rule, so without
+    # the check the first trial would redraw forever
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"weight_bound": 1e-4}))
+    proc = run_module(["verify", "--spec", str(spec_path), "--trials", "3"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: weight_bound must be in (0.001, 8.99e+307], got 0.0001\n")
+
+
+def test_verify_overflowing_segment_box(capsys, tmp_path):
+    # finite corners whose difference overflows binary64 in the segment's norm
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"segment_box": [0, 1e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, ["verify", "--spec", str(spec_path), "--trials", "3"])
+    assert (rc, out, err) == (1, "", "error: segment length overflows: y - x is not finite\n")
 
 
 # --------------------------------------------------------------- lower-bound

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from expressivity_auditor import (
     validate,
 )
 from expressivity_auditor.errors import ValidationError
+from reference_network import random_network as reference_random_network
 
 RELU = builtin_activation("relu")
 
@@ -224,6 +229,89 @@ def test_random_network_bad_args():
         random_network(2, 3, widths=(2, 2), seed=0)  # wrong length
     with pytest.raises(ValueError):
         random_network(2, 3, max_width=4, skip_prob=1.5, seed=0)
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf"), 1e308, "1", None])
+def test_random_network_rejects_bad_weight_bound(bound):
+    with pytest.raises(ValueError, match="weight_bound must be in"):
+        random_network(2, 1, widths=[1], weight_bound=bound, seed=0)
+
+
+def test_random_network_tiny_weight_bound_does_not_hang():
+    # Every draw from [-1e-4, 1e-4], and all but a 2**-53 share of those from
+    # [-1e-3, 1e-3], fail the |w| >= MIN_ABS_WEIGHT rule. Run them in a child
+    # so that a hang fails this test instead of stalling it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("from expressivity_auditor import random_network\n"
+            "for bound in (1e-3, 1e-4):\n"
+            "    try:\n        random_network(2, 1, widths=[1], weight_bound=bound)\n"
+            "    except ValueError as exc:\n        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("weight_bound must be in (0.001, 8.99e+307], got 0.001\n"
+                           "weight_bound must be in (0.001, 8.99e+307], got 0.0001\n")
+
+
+def _net_bits(net):
+    return ([(u.uid, float(u.bias).hex(), u.activation.name) for u in net.units],
+            [(e.src, e.dst, float(e.weight).hex()) for e in net.edges], net.n_inputs)
+
+
+def _seed_forms(entropy, form):
+    if form == "int":
+        return entropy
+    if form == "seedseq":
+        return np.random.SeedSequence(entropy)
+    bitgen = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937, "philox": np.random.Philox}[form]
+    return np.random.Generator(bitgen(entropy))
+
+
+def test_random_network_matches_reference():
+    # The bulk draws must replay the draw-by-draw stream: same units, bias
+    # bits, edge order and weight bits, and a passed-in generator left in
+    # the same state. Bounds 0.002 and 0.0011 reject half and 91% of draws.
+    rng = np.random.default_rng(20261019)
+    forms = ("int", "seedseq", "pcg64", "mt19937", "philox")
+    for case in range(240):
+        n, depth = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        kw = {
+            "skip_prob": (0.0, 0.1, 0.3, 1.0)[case % 4],
+            "weight_bound": (1.0, 3.0, 0.002, 0.0011)[case // 4 % 4],
+            "activation": ("relu", "hard-tanh")[case % 2],
+        }
+        if case % 6 == 5:
+            kw["max_width"] = int(rng.integers(1, 41))
+        else:
+            kw["widths"] = [int(w) for w in rng.integers(1, 41 if depth <= 3 else 13, size=depth)]
+        form, entropy = forms[case // 16 % 5], int(rng.integers(2**32))
+        seed_a, seed_b = _seed_forms(entropy, form), _seed_forms(entropy, form)
+        want = reference_random_network(n, depth, seed=seed_a, **kw)
+        got = random_network(n, depth, seed=seed_b, **kw)
+        label = f"case {case}: n={n} depth={depth} {kw} seed={form}:{entropy}"
+        assert _net_bits(got) == _net_bits(want), label
+        if isinstance(seed_a, np.random.Generator):
+            assert seed_b.random() == seed_a.random(), label
+
+
+class _CountingGenerator(np.random.Generator):
+    calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return super().random(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return super().uniform(*args, **kwargs)
+
+
+def test_random_network_draws_in_bulk():
+    # One generator call per coin and per weight made 34,516 calls here.
+    rng = _CountingGenerator(np.random.PCG64(2016))
+    net = random_network(2, 16, widths=[16] * 16, skip_prob=0.1, seed=rng)
+    assert len(net.edges) > 6000
+    assert rng.calls <= 64
 
 
 # ------------------------------------------------------------------- JSON IO
