@@ -9,13 +9,15 @@ each trial is reproducible on its own; rows are emitted in trial order.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Real
 
 import numpy as np
 
-from .activations import builtin_activation
+from .activations import PwlActivation, builtin_activation
 from .netgraph import MAX_WEIGHT_BOUND, MIN_ABS_WEIGHT, Segment, depth_profile, random_network
 from .report import PASS
 from .restriction import audit_transition_inequalities, break_points, restrict
@@ -35,6 +37,9 @@ _KIND_TO_COLUMN = {
     "per-unit-transition-cap": "per_unit_transition_cap",
 }
 
+# Trials redraw segments shorter than this.
+_MIN_SEGMENT = 1e-6
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -50,13 +55,17 @@ class CampaignSpec:
     segment_hi: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_choices", "activations"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {v!r}")
+        if not self.n_choices or not all(_is_int(v) and v >= 1 for v in self.n_choices):
+            raise ValueError(f"n_choices must list integer dimensions >= 1, got {self.n_choices!r}")
         object.__setattr__(self, "n_choices", tuple(int(v) for v in self.n_choices))
         object.__setattr__(self, "activations", tuple(self.activations))
-        if not self.n_choices or min(self.n_choices) < 1:
-            raise ValueError("n_choices must list dimensions >= 1")
         for name in ("depth_max", "width_max"):
             v = getattr(self, name)
-            if not isinstance(v, Integral) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not (isinstance(self.skip_prob, Real) and 0.0 <= self.skip_prob <= 1.0):
             raise ValueError(f"skip_prob must be in [0, 1], got {self.skip_prob!r}")
@@ -66,10 +75,27 @@ class CampaignSpec:
                              f"got {bound!r}")
         if not self.activations:
             raise ValueError("need at least one activation name")
-        for name in self.activations:
-            builtin_activation(name)  # fail fast on unknown names
-        if not self.segment_hi > self.segment_lo:
+        for name in self.activations:  # fail fast, before any trial runs
+            if not isinstance(name, str):
+                raise ValueError(f"activations must list names, got {name!r}")
+            if not isinstance(builtin_activation(name), PwlActivation):
+                raise ValueError(f"activations must be piecewise linear to restrict exactly, "
+                                 f"got {name!r}")
+        lo, hi = self.segment_lo, self.segment_hi
+        # abs(v) <= max also rejects NaN, and an int too large for a float
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+                   for v in (lo, hi)):
+            raise ValueError(f"segment_lo and segment_hi must be finite numbers, got {lo!r}, {hi!r}")
+        lo, hi = float(lo), float(hi)
+        object.__setattr__(self, "segment_lo", lo)
+        object.__setattr__(self, "segment_hi", hi)
+        if not hi > lo:
             raise ValueError("need segment_hi > segment_lo")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"segment_hi - segment_lo overflows binary64 for [{lo!r}, {hi!r}]")
+        if not hi - lo >= 2 * _MIN_SEGMENT:  # else the redraw loop of run_trial may never end
+            raise ValueError(f"segment_hi - segment_lo must be at least {2 * _MIN_SEGMENT:g}, "
+                             f"got [{lo!r}, {hi!r}]")
 
     @classmethod
     def from_json(cls, doc: dict) -> "CampaignSpec":
@@ -84,10 +110,15 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign keys: {sorted(unknown)}")
         kwargs = {k: doc[k] for k in doc if k != "segment_box"}
         if "segment_box" in doc:
-            lo, hi = doc["segment_box"]
-            kwargs["segment_lo"] = float(lo)
-            kwargs["segment_hi"] = float(hi)
+            box = doc["segment_box"]
+            if not (isinstance(box, list) and len(box) == 2):
+                raise ValueError(f"segment_box must be a list [lo, hi], got {box!r}")
+            kwargs["segment_lo"], kwargs["segment_hi"] = box
         return cls(**kwargs)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +151,7 @@ def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
     x = spec.segment_lo + rng.random(n) * span
     y = spec.segment_lo + rng.random(n) * span
     with np.errstate(over="ignore"):  # an overflowing length is Segment's error to report
-        while np.linalg.norm(y - x) < 1e-6:
+        while np.linalg.norm(y - x) < _MIN_SEGMENT:
             y = spec.segment_lo + rng.random(n) * span
     r = restrict(net, Segment(x, y))
     reports = {rep.kind: rep for rep in audit_transition_inequalities(r)}

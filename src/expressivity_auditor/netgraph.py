@@ -115,13 +115,19 @@ class Network:
 
     @cached_property
     def _ancestors(self):
-        """Per hidden unit, the hidden units with a directed path into it."""
+        """Boolean matrix over unit indices: row i marks the hidden units with
+        a directed path into units[i]. The rows are built as int bitsets in
+        topological order, then unpacked."""
         require_valid(self)
-        anc = {}
+        index = {u.uid: i for i, u in enumerate(self.units)}
+        bits = [0] * len(self.units)
         for uid in self.topo_order:
-            srcs = [e.src for e in self.in_edges[uid] if e.src in self.unit_map]
-            anc[uid] = frozenset(srcs).union(*(anc[s] for s in srcs))
-        return anc
+            for e in self.in_edges[uid]:
+                if e.src in index:
+                    bits[index[uid]] |= bits[index[e.src]] | 1 << index[e.src]
+        size = (len(bits) + 7) // 8
+        packed = np.frombuffer(b"".join(b.to_bytes(size, "little") for b in bits), dtype=np.uint8)
+        return np.unpackbits(packed, bitorder="little").view(bool).reshape(len(bits), -1)[:, :len(bits)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,17 +250,27 @@ def depth_profile(net: Network) -> DepthProfile:
     return net._depth_profile
 
 
+def _unit_mask(net: Network, units) -> np.ndarray:
+    """Boolean mask over net.units of the hidden unit ids in `units`."""
+    target = frozenset(units)
+    unknown = target.difference(net.unit_map)
+    if unknown:
+        raise ValueError(f"unknown unit ids: {sorted(unknown)}")
+    return np.array([u.uid in target for u in net.units], dtype=bool)
+
+
+def _ancestor_mask(net: Network, member: np.ndarray) -> np.ndarray:
+    """Mask of in(U), the units outside U with a directed path into U."""
+    return net._ancestors[member].any(axis=0) & ~member
+
+
 def hidden_ancestors(net: Network, units) -> frozenset:
     """Hidden units lying on a directed path from an input to any unit of
     `units`, excluding `units` itself. These are exactly the hidden units with
     a directed path into the set (every valid unit is input-reachable).
     Raises ValidationError when the network is not valid."""
-    target = frozenset(units)
-    unknown = target - set(net.unit_map)
-    if unknown:
-        raise ValueError(f"unknown unit ids: {sorted(unknown)}")
-    anc = net._ancestors
-    return frozenset().union(*(anc[u] for u in target)) - target
+    anc = _ancestor_mask(net, _unit_mask(net, units))
+    return frozenset(net.units[i].uid for i in np.flatnonzero(anc).tolist())
 
 
 def forward(net: Network, x) -> ForwardResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from . import pwl
 from .activations import PwlActivation
 from .bounds import breakpoint_upper_bound_exact
 from .errors import PreconditionError, UnsupportedActivationError
-from .netgraph import OUTPUT_ID, Network, Segment, depth_profile, hidden_ancestors, require_valid
+from .netgraph import OUTPUT_ID, Network, Segment, depth_profile, require_valid
+from .netgraph import _ancestor_mask, _unit_mask
 from .report import upper_audit
 
 # Two event points are treated as simultaneous iff they differ by at most
@@ -41,11 +43,23 @@ class LineRestriction:
     state_traces: dict
 
     @cached_property
-    def change_points(self) -> dict:
-        """Per unit, the sorted interior alphas where its state changes."""
-        return {
-            uid: pwl.state_change_points(trace) for uid, trace in self.state_traces.items()
-        }
+    def _events(self):
+        """(points, starts, sorted points, owner): the interior alphas where
+        each unit changes state, unit by unit, with units[i]'s run
+        points[starts[i]:starts[i + 1]] sorted as its trace tiles [0, 1] in
+        order; all of them sorted; owner[j], the j-th one's net.units index."""
+        traces = [self.state_traces[u.uid] for u in self.net.units]
+        points = np.array([lo for trace in traces for _, lo, _ in trace[1:]], dtype=float)
+        sizes = [len(trace) - 1 for trace in traces]
+        order = np.argsort(points, kind="stable")
+        owner = np.repeat(np.arange(len(traces)), sizes)[order]
+        return points, list(accumulate(sizes, initial=0)), points[order], owner
+
+    @cached_property
+    def _memo(self):
+        """Two dicts keyed by the bytes of a unit set's boolean mask over
+        net.units: the set's sorted change points, and its N."""
+        return {}, {}
 
 
 def restrict(net: Network, seg: Segment) -> LineRestriction:
@@ -59,6 +73,10 @@ def restrict(net: Network, seg: Segment) -> LineRestriction:
                 f"unit {u.uid!r} has a non-piecewise-linear activation"
             )
     fns, pre_activation, unit_output, state_traces = {}, {}, {}, {}
+
+    def combine(edges, bias):
+        return pwl.affine_combine([e.weight for e in edges], [fns[e.src] for e in edges], bias=bias)
+
     try:
         # An overflow leaves a non-finite piece, whose finiteness check
         # raises the only ValueError here; numpy's warnings would only
@@ -68,22 +86,11 @@ def restrict(net: Network, seg: Segment) -> LineRestriction:
                 fns[uid] = pwl.PwlFunction1D.affine(seg.y[i] - seg.x[i], seg.x[i])
             for uid in net.topo_order:
                 unit = net.unit_map[uid]
-                in_edges = net.in_edges[uid]
-                pre = pwl.affine_combine(
-                    [e.weight for e in in_edges], [fns[e.src] for e in in_edges], bias=unit.bias
-                )
-                pre_activation[uid] = pre
-                out, state_traces[uid] = pwl.activate(unit.activation, pre)
-                fns[uid] = unit_output[uid] = out
-            uid = OUTPUT_ID
-            out_edges = net.in_edges[OUTPUT_ID]
-            if out_edges:
-                output = pwl.affine_combine(
-                    [e.weight for e in out_edges], [fns[e.src] for e in out_edges],
-                    bias=net.output_bias,
-                )
-            else:
-                output = pwl.PwlFunction1D.constant(net.output_bias)
+                pre_activation[uid] = pre = combine(net.in_edges[uid], unit.bias)
+                fns[uid], state_traces[uid] = pwl.activate(unit.activation, pre)
+                unit_output[uid] = fns[uid]
+            uid = OUTPUT_ID  # a valid network always has edges into it
+            output = combine(net.in_edges[OUTPUT_ID], net.output_bias)
     except ValueError:
         raise PreconditionError(
             f"restricting {uid!r} to the segment overflows binary64"
@@ -105,21 +112,37 @@ def transitions(r: LineRestriction, units) -> int:
     in(U) lies within the tolerance of it. So simultaneous changes of several
     members count once; with in(U) empty every state-vector change counts.
     """
-    U = frozenset(units)
-    unknown = U - set(r.net.unit_map)
-    if unknown:
-        raise ValueError(f"unknown unit ids: {sorted(unknown)}")
-    if not U:
-        return 0
-    own = np.sort(np.concatenate([r.change_points[u] for u in U]))
+    return _n_of(r, _unit_mask(r.net, units))
+
+
+def _points(r: LineRestriction, member) -> np.ndarray:
+    """The sorted change points of the units masked as `member` over
+    net.units: a subsequence of the sorted table, so sorted too. Kept per
+    mask, as a layer prefix is usually the in(U) of the next layer's units."""
+    memo, key = r._memo[0], member.tobytes()
+    if key not in memo:
+        _, _, ev, owner = r._events
+        memo[key] = ev[member[owner]]
+    return memo[key]
+
+
+def _n_of(r: LineRestriction, member) -> int:
+    """N(U) for U masked as `member`, counted once per distinct set: the
+    first layer is the first prefix, and ancestor sets are mostly prefixes."""
+    memo, key = r._memo[1], member.tobytes()
+    if key not in memo:
+        own = _points(r, member)
+        memo[key] = _n(own, _points(r, _ancestor_mask(r.net, member))) if own.size else 0
+    return memo[key]
+
+
+def _n(own, suppressors) -> int:
+    """N(U) from the sorted change points of U and of in(U); see
+    `transitions`. The only place that applies COINCIDENCE_TOL."""
     if own.size == 0:
         return 0
-    gap = np.flatnonzero(np.diff(own) > COINCIDENCE_TOL)
+    gap = np.flatnonzero(own[1:] - own[:-1] > COINCIDENCE_TOL)
     n_clusters = gap.size + 1
-    in_u = hidden_ancestors(r.net, U)
-    if not in_u:
-        return n_clusters
-    suppressors = np.sort(np.concatenate([r.change_points[u] for u in in_u]))
     if suppressors.size == 0:
         return n_clusters
     lo = own[np.concatenate(([0], gap + 1))]
@@ -140,14 +163,14 @@ class TransitionCount:
 
 def transition_counts(r: LineRestriction) -> TransitionCount:
     prof = depth_profile(r.net)
-    raw = {uid: int(r.change_points[uid].size) for uid in r.net.unit_map}
+    _, starts, _, _ = r._events
+    raw = {u.uid: starts[i + 1] - starts[i] for i, u in enumerate(r.net.units)}
+    depth = np.array([prof.unit_depth[u.uid] for u in r.net.units])
     filtered = {}
-    prefix = []
-    for i, layer in enumerate(prof.layers, start=1):
-        filtered[f"H{i}"] = transitions(r, layer)
-        prefix.extend(layer)
-        filtered[f"H<={i}"] = transitions(r, prefix)
-    filtered["H"] = transitions(r, tuple(r.net.unit_map))
+    for i in range(1, prof.depth + 1):
+        filtered[f"H{i}"] = _n_of(r, depth == i)
+        filtered[f"H<={i}"] = _n_of(r, depth <= i)
+    filtered["H"] = filtered[f"H<={prof.depth}"]  # every hidden unit has a depth in 1..d
     return TransitionCount(raw, filtered)
 
 
@@ -169,67 +192,26 @@ def audit_transition_inequalities(r: LineRestriction) -> list:
     the depth/width break-point bound (compared in exact rationals).
     """
     prof = depth_profile(r.net)
-    layers = [tuple(layer) for layer in prof.layers]
-    prefixes = []
-    acc = []
-    for layer in layers:
-        acc.extend(layer)
-        prefixes.append(tuple(acc))
-    n_of = {}
-
-    def N(units) -> int:
-        key = frozenset(units)
-        if key not in n_of:
-            n_of[key] = transitions(r, key)
-        return n_of[key]
-
-    reports = [
-        _worst(
-            "transition-subadditivity",
-            [
-                ({"prefix_end": i + 2}, N(prefixes[i + 1]), N(layers[i + 1]) + N(prefixes[i]))
-                for i in range(len(layers) - 1)
-            ],
-        ),
-        _worst(
-            "prefix-monotonicity",
-            [
-                ({"prefix_end": i + 2}, N(prefixes[i]), N(prefixes[i + 1]))
-                for i in range(len(layers) - 1)
-            ],
-        ),
-        _worst(
-            "union-bound",
-            [
-                ({"layer": i + 1}, N(layer), sum(N((u,)) for u in layer))
-                for i, layer in enumerate(layers)
-            ],
-        ),
-        _worst(
-            "per-unit-transition-cap",
-            [
-                (
-                    {"unit": uid},
-                    N((uid,)),
-                    (r.net.unit_map[uid].activation.t - 1)
-                    * (N(hidden_ancestors(r.net, (uid,))) + 1),
-                )
-                for uid in r.net.unit_map
-            ],
-        ),
-        upper_audit(
-            "breakpoints-le-transitions",
-            float(break_points(r)),
-            float(N(tuple(r.net.unit_map))),
-        ),
-    ]
+    f = transition_counts(r).filtered
+    points, starts, _, _ = r._events
+    anc = r.net._ancestors
+    n_unit, caps = {}, []
+    for i, u in enumerate(r.net.units):
+        n_unit[u.uid] = _n(points[starts[i]:starts[i + 1]], _points(r, anc[i]))
+        caps.append(({"unit": u.uid}, n_unit[u.uid], (u.activation.t - 1) * (_n_of(r, anc[i]) + 1)))
+    steps = range(2, prof.depth + 1)
+    instances = {
+        "transition-subadditivity":
+            [({"prefix_end": i}, f[f"H<={i}"], f[f"H{i}"] + f[f"H<={i - 1}"]) for i in steps],
+        "prefix-monotonicity": [({"prefix_end": i}, f[f"H<={i - 1}"], f[f"H<={i}"]) for i in steps],
+        "union-bound": [({"layer": i}, f[f"H{i}"], sum(n_unit[uid] for uid in layer))
+                        for i, layer in enumerate(prof.layers, start=1)],
+        "per-unit-transition-cap": caps,
+    }
     t = max(u.activation.t for u in r.net.units)
     cap = breakpoint_upper_bound_exact(t, prof.width, prof.depth)
-    n_all = N(tuple(r.net.unit_map))
-    reports.append(
-        upper_audit(
-            "transitions-le-depth-bound", n_all, cap,
-            parameters={"t": t, "omega": str(prof.width), "d_f": prof.depth},
-        )
-    )
-    return reports
+    params = {"t": t, "omega": str(prof.width), "d_f": prof.depth}
+    return [_worst(kind, inst) for kind, inst in instances.items()] + [
+        upper_audit("breakpoints-le-transitions", float(break_points(r)), float(f["H"])),
+        upper_audit("transitions-le-depth-bound", f["H"], cap, parameters=params),
+    ]

@@ -5,7 +5,9 @@ A verbatim copy of the scalar engine that the array engine in `pwl`,
 `affine_combine`, the per-piece activation cut (run twice per unit, once for
 the output and once for the state trace), the loop `normalize`, the graph
 walk in `hidden_ancestors` and the per-cluster loop in `transitions`. Only
-the imports differ. The array engine must reproduce it byte for byte.
+the imports differ, and `change_points`, once a cached property of
+`LineRestriction`, is a function here built from the state traces. The
+array engine must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -228,6 +230,14 @@ def _clusters(points: np.ndarray) -> list:
     return [(chunk[0], chunk[-1]) for chunk in np.split(points, splits)]
 
 
+def change_points(r: LineRestriction) -> dict:
+    """Per unit, the sorted interior alphas where its state changes."""
+    return {
+        uid: np.array([lo for _, lo, _ in trace[1:]], dtype=float)
+        for uid, trace in r.state_traces.items()
+    }
+
+
 def transitions(r: LineRestriction, units) -> int:
     """N(U): state-vector changes of U at alphas where no unit of in(U)
     changes state (within the coincidence tolerance), counted on (0,1).
@@ -241,12 +251,13 @@ def transitions(r: LineRestriction, units) -> int:
         raise ValueError(f"unknown unit ids: {sorted(unknown)}")
     if not U:
         return 0
-    own = np.sort(np.concatenate([r.change_points[u] for u in U]))
+    points = change_points(r)
+    own = np.sort(np.concatenate([points[u] for u in U]))
     if own.size == 0:
         return 0
     in_u = hidden_ancestors(r.net, U)
     suppressors = (
-        np.sort(np.concatenate([r.change_points[u] for u in in_u]))
+        np.sort(np.concatenate([points[u] for u in in_u]))
         if in_u
         else np.empty(0)
     )

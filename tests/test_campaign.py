@@ -99,6 +99,9 @@ def test_campaign_spec_validation():
     {"skip_prob": -0.1}, {"skip_prob": 1.5}, {"skip_prob": "0.3"}, {"skip_prob": float("nan")},
     {"weight_bound": 1e-3}, {"weight_bound": 1e-4}, {"weight_bound": float("inf")},
     {"weight_bound": 1e308}, {"weight_bound": "1"}, {"weight_bound": float("nan")},
+    {"n_choices": 2}, {"n_choices": [1.5]}, {"n_choices": [True]}, {"n_choices": [0]},
+    {"activations": "relu"}, {"activations": [5]}, {"activations": ["sigmoid"]},
+    {"segment_hi": float("inf")}, {"segment_lo": None}, {"segment_lo": -1e308, "segment_hi": 1e308},
 ])
 def test_campaign_spec_rejects_bad_draw_parameters(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

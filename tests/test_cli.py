@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expressivity_auditor import (
     Edge,
@@ -204,12 +209,48 @@ def test_verify_bad_spec(capsys, tmp_path):
     ({"width_max": True}, "width_max must be an integer >= 1, got True"),
     ({"skip_prob": "0.3"}, "skip_prob must be in [0, 1], got '0.3'"),
     ({"skip_prob": float("nan")}, "skip_prob must be in [0, 1], got nan"),
+    ({"segment_box": 5}, "segment_box must be a list [lo, hi], got 5"),
+    ({"segment_box": [None, 1]}, "segment_lo and segment_hi must be finite numbers, got None, 1"),
+    ({"segment_box": [-1e308, 1e308]},
+     "segment_hi - segment_lo overflows binary64 for [-1e+308, 1e+308]"),
+    ({"segment_box": [0, 1e-7]}, "segment_hi - segment_lo must be at least 2e-06, got [0.0, 1e-07]"),
+    ({"n_choices": 2}, "n_choices must be a list, got 2"),
+    ({"n_choices": [1.5]}, "n_choices must list integer dimensions >= 1, got [1.5]"),
+    ({"n_choices": [True]}, "n_choices must list integer dimensions >= 1, got [True]"),
+    ({"activations": "relu"}, "activations must be a list, got 'relu'"),
+    ({"activations": [5]}, "activations must list names, got 5"),
+    ({"activations": ["sigmoid"]},
+     "activations must be piecewise linear to restrict exactly, got 'sigmoid'"),
 ])
 def test_verify_rejects_bad_draw_parameters(capsys, tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
     rc, out, err = run(capsys, ["verify", "--spec", str(spec_path), "--trials", "3"])
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+SPEC_KEYS = ("n_choices", "depth_max", "width_max", "skip_prob", "weight_bound", "activations",
+             "segment_box")
+SPEC_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(SPEC_KEYS), SPEC_SCALARS | st.lists(SPEC_SCALARS, max_size=3)))
+def test_verify_spec_fuzz(doc):
+    """Any document over the known keys runs, or exits 1 with one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, out_path = os.path.join(tmp, "spec.json"), os.path.join(tmp, "c.csv")
+        with open(spec_path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["verify", "--spec", spec_path, "--trials", "1", "--out", out_path])
+    lines = err.getvalue().splitlines()
+    assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (rc, lines)
 
 
 def test_verify_tiny_weight_bound_exits_one(tmp_path):

@@ -19,6 +19,7 @@ from expressivity_auditor import (
     PwlActivation,
     Segment,
     Unit,
+    audit_transition_inequalities,
     builtin_activation,
     depth_profile,
     hidden_ancestors,
@@ -27,6 +28,7 @@ from expressivity_auditor import (
     restrict,
     run_trial,
     save_network,
+    transition_counts,
     transitions,
 )
 from expressivity_auditor import netgraph
@@ -87,9 +89,13 @@ def seeded_case(act_name, i):
 
 
 def unit_sets(net, rng):
+    """Every family the audit queries (units, layers, prefixes, ancestor
+    sets, all hidden units, the empty set) and a few random sets."""
     prof = depth_profile(net)
     uids = list(net.unit_map)
     sets = [(u,) for u in uids] + [tuple(layer) for layer in prof.layers] + [tuple(uids)]
+    sets += [(), tuple(reversed(uids))]
+    sets += [tuple(sorted(ref.hidden_ancestors(net, (u,)))) for u in uids]
     prefix = []
     for layer in prof.layers:
         prefix += layer
@@ -128,6 +134,26 @@ def test_restrict_matches_reference_wide_nets():
             assert trace_key(new.state_traces[uid]) == trace_key(old.state_traces[uid])
         for units in unit_sets(net, np.random.default_rng(3)):
             assert transitions(new, units) == ref.transitions(new, units)
+
+
+def test_audit_and_counts_frozen(fig1_net):
+    """Every audit report, with the tightest instance it names, and every
+    raw and filtered transition count, digested over the seeded nets, the
+    wide nets above, tent^10 and the worked example."""
+    cases = [seeded_case(act_name, i) for act_name in PWL_ACTS for i in range(24)]
+    cases += [(random_network(2, 8, widths=[8] * 8, skip_prob=0.1, activation=act_name, seed=7),
+               Segment([0.1, 0.2], [0.9, 0.7])) for act_name in ("relu", "hard-tanh", "step")]
+    cases += [(tent_net(10), Segment([0.0], [1.0])),
+              (fig1_net, Segment([-1.0, 0.5, -0.3], [0.7, -0.4, 0.9]))]
+    h = hashlib.md5()
+    for net, seg in cases:
+        r = restrict(net, seg)
+        for rep in audit_transition_inequalities(r):
+            h.update(repr((rep.kind, rep.parameters, rep.measured, rep.bound, rep.margin,
+                           rep.verdict)).encode())
+        counts = transition_counts(r)
+        h.update(repr((counts.raw, counts.filtered)).encode())
+    assert h.hexdigest() == "86e5e54dd17dd829853c80d5b49cc8eb"
 
 
 def test_tent_dyadic_breakpoints_exact():
