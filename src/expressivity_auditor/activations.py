@@ -17,13 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedActivationError
+from .errors import UnsupportedActivationError, check_int
 
 _NAME_RE = re.compile(r"^([a-z][a-z0-9-]*?)(?:\(([^()]*)\))?$")
 
-BUILTIN_NAMES = ("relu", "leaky-relu(a)", "hard-tanh", "step", "identity", "sigmoid", "sigmoid-q(k)")
 LIPSCHITZ_CHECK_RANGE = (-20.0, 20.0)  # where declared Lipschitz constants are spot-checked
 GAP_GRID = 4097  # grid points of the empirical activation gap
+MAX_BITS = 1023  # the largest bit count k for which 2**k and 2**-k are finite nonzero doubles
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +40,15 @@ class PwlActivation:
         if s.size < 1 or s.size != b.size + 1 or q.size != s.size:
             raise ValueError("need len(boundaries) + 1 pieces")
         for name, arr in (("boundaries", b), ("slopes", s), ("intercepts", q)):
+            if arr.ndim != 1:
+                raise ValueError(f"activation {name} must be a 1-D array, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite activation {name}: {arr.tolist()}")
-        if b.size and not np.all(np.diff(b) > 0.0):
-            raise ValueError("boundaries must be strictly increasing")
-        for name, arr in (("boundaries", b), ("slopes", s), ("intercepts", q)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if b.size and not np.all(np.diff(b) > 0.0):
+            raise ValueError("boundaries must be strictly increasing")
 
     @property
     def t(self) -> int:
@@ -123,7 +124,7 @@ class LipschitzActivation:
     check_slack: float = 0.0
 
     def __post_init__(self):
-        if self.lipschitz <= 0.0:
+        if not self.lipschitz > 0.0:
             raise ValueError("lipschitz must be positive")
         rng = np.random.default_rng(1827)
         a = rng.uniform(*LIPSCHITZ_CHECK_RANGE, 10_000)
@@ -200,9 +201,7 @@ def builtin_activation(name: str):
     if base == "sigmoid-q":
         if arg is None:
             raise ValueError("sigmoid-q needs a bit count, e.g. sigmoid-q(32)")
-        bits = int(arg)
-        if bits < 1:
-            raise ValueError("bit count must be >= 1")
+        bits = check_int("bit count", int(arg), 1, MAX_BITS)
         step = 2.0**-bits
         return LipschitzActivation(f"sigmoid-q({bits})", _quantized_sigmoid(bits), 0.25, check_slack=step)
     raise ValueError(f"unknown activation name {name!r}")
@@ -224,9 +223,7 @@ def quantization_gap(bits: int) -> ActivationGap:
     and its k-bit fixed-point rounding. The measured grid gap of sigmoid vs
     sigmoid-q(k) is at most half this, so the nominal value is the safe choice
     when quoting the substitution bound."""
-    if bits < 1:
-        raise ValueError("bit count must be >= 1")
-    return ActivationGap(2.0**-bits)
+    return ActivationGap(2.0 ** -check_int("bit count", bits, 1, MAX_BITS))
 
 
 def lipschitz_constant(act) -> float:

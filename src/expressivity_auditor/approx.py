@@ -16,7 +16,7 @@ import numpy as np
 
 from . import activations, pwl
 from .bounds import activation_swap_bound, min_curvature
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .netgraph import Network, Segment, Unit, _evaluate, depth_profile, require_valid
 from .report import AuditReport, lower_audit
 from .targets import TargetFunction
@@ -36,8 +36,7 @@ class Sampler:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        check_int("samples", self.samples, 1)
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,7 @@ def uniform_interpolant_1d(g: TargetFunction, seg: Segment, s: int):
     measured sup error); the unnormalized interpolant has exactly s-1
     interior breakpoints.
     """
-    if int(s) != s or s < 1:
-        raise ValueError("s must be an integer >= 1")
-    knots = np.linspace(0.0, 1.0, int(s) + 1)
+    knots = np.linspace(0.0, 1.0, check_int("s", s, 1) + 1)
     f0 = pwl.PwlFunction1D.from_knots(knots, g.value(seg.point(knots)))
     alphas = _dense_alphas(f0)
     dev = f0.eval(alphas) - g.value(seg.point(alphas))

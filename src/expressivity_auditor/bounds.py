@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_epsilon, check_int
 from .linalg import eig2
 from .report import AuditReport, _safe_float, upper_audit
 from .search import coordinate_ascent, golden_min, golden_min_batch
@@ -44,13 +44,6 @@ PAIR_SAMPLES = 256
 REFINE_LOOKAHEAD = 4
 
 
-def _check_epsilon(epsilon) -> None:
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
-
-
 @dataclass(frozen=True)
 class BoundConfig:
     """Bound parameters and the pair-sampling seed shared by the evaluators."""
@@ -60,9 +53,8 @@ class BoundConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        if self.t < 1 or self.t != int(self.t):
-            raise ValueError("t must be an integer >= 1")
+        check_epsilon(self.epsilon)
+        check_int("t", self.t, 1)
 
 
 @dataclass(frozen=True)
@@ -106,14 +98,10 @@ class LaplacianBound:
 
 def breakpoint_upper_bound_exact(t: int, omega_f, d_f: int) -> Fraction:
     """((t-1)*omega + 1)^d - 1 as an exact rational."""
-    if int(t) != t or t < 1:
-        raise ValueError("t must be an integer >= 1")
-    if int(d_f) != d_f or d_f < 1:
-        raise ValueError("d_f must be an integer >= 1")
-    omega = Fraction(omega_f)
-    if omega <= 0:
-        raise ValueError("omega_f must be positive")
-    return ((t - 1) * omega + 1) ** int(d_f) - 1
+    t, d_f = check_int("t", t, 1), check_int("d_f", d_f, 1)
+    if not 0 < omega_f < math.inf:  # Fraction(inf) would raise OverflowError
+        raise ValueError("omega_f must be positive and finite")
+    return ((t - 1) * Fraction(omega_f) + 1) ** d_f - 1
 
 
 def breakpoint_upper_bound(t: int, omega_f, d_f: int) -> float:
@@ -127,15 +115,12 @@ def depth_bound_vs_state_bound(t: int, d_f: int, H: int) -> AuditReport:
     The left side is the piece-count bound at width H/d; the right side is the
     count of joint activation states, which it can never exceed.
     """
-    if int(t) != t or t < 1:
-        raise ValueError("t must be an integer >= 1")
-    if not 1 <= d_f <= H:
-        raise ValueError("need 1 <= d_f <= H")
-    lhs = ((t - 1) * Fraction(H, d_f) + 1) ** int(d_f)
+    t, d_f = check_int("t", t, 1), check_int("d_f", d_f, 1, H)
+    lhs = ((t - 1) * Fraction(H, d_f) + 1) ** d_f
     rhs = Fraction(t) ** int(H)
     return upper_audit(
         "depth-bound-vs-state-bound", lhs, rhs,
-        parameters={"t": int(t), "d_f": int(d_f), "n_hidden": int(H)},
+        parameters={"t": t, "d_f": d_f, "n_hidden": int(H)},
     )
 
 
@@ -290,9 +275,8 @@ def hidden_units_floor(value: float, epsilon: float, t: int) -> float:
     A network whose restriction to some segment needs more than value/sqrt(eps)
     linear pieces needs at least this many hidden units.
     """
-    _check_epsilon(epsilon)
-    if int(t) != t or t < 2:
-        raise ValueError("t must be an integer >= 2")
+    check_epsilon(epsilon)
+    t = check_int("t", t, 2)
     if value <= 0:
         return 0.0
     return max(0.0, math.log(value / math.sqrt(epsilon), t))
@@ -303,9 +287,8 @@ def strong_convexity_lower_bound(mu: float, diam: float, epsilon: float, t: int)
     with hessian >= mu*I, clamped at 0."""
     if not (mu > 0 and diam > 0 and epsilon > 0):
         raise ValueError("mu, diam, epsilon must be positive")
-    _check_epsilon(epsilon)
-    if int(t) != t or t < 2:
-        raise ValueError("t must be an integer >= 2")
+    check_epsilon(epsilon)
+    t = check_int("t", t, 2)
     return max(0.0, 0.5 * math.log(mu * diam * diam / (16.0 * epsilon), t))
 
 
@@ -319,9 +302,8 @@ def depth_scaled_lower_bound(
     PAIR_SAMPLES random points); two-piece activations assumed.
     """
     cfg = cfg or BoundConfig()
-    if int(d_f) != d_f or d_f < 1:
-        raise ValueError("d_f must be an integer >= 1")
-    _check_epsilon(epsilon)
+    d_f = check_int("d_f", d_f, 1)
+    check_epsilon(epsilon)
     rng = np.random.default_rng(cfg.seed)
     pts = g.domain.sample(rng, PAIR_SAMPLES)
     lam_min = _eig_range(g.hessian(pts))[0].min()
@@ -364,7 +346,7 @@ def laplacian_lower_bound(g: TargetFunction, epsilon: float, t: int) -> Laplacia
     clamps the multiplier to 0 when curvature is drowned out. The floor is
     stated on the unit box [0, 1]^n, so any other domain is rejected.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     if not (np.all(g.domain.lo == 0.0) and np.all(g.domain.hi == 1.0)):
         raise ValueError(f"the Laplacian floor is stated on the unit box [0, 1]^{g.n}, "
                          f"not on {g.name}'s domain")
@@ -381,15 +363,17 @@ def activation_swap_bound(delta: float, A: float, omega_f, d_f: int, gap) -> flo
     networks with identical weights whose activations differ by at most gap in
     sup norm, the first being delta-Lipschitz."""
     gap_val = float(getattr(gap, "value", gap))
-    if gap_val < 0:
+    if not gap_val >= 0:
         raise ValueError("gap must be >= 0")
     if not (delta > 0 and A > 0 and math.isfinite(A)):
         raise ValueError("delta and A must be positive, A finite")
-    if int(d_f) != d_f or d_f < 1:
-        raise ValueError("d_f must be an integer >= 1")
+    d_f = check_int("d_f", d_f, 1)
     omega = float(omega_f)
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega_f must be positive")
     if gap_val == 0.0:
         return 0.0  # exact for any finite A, where the growth factor may overflow
-    return (gap_val / delta) * ((delta * A * omega + 1.0) ** int(d_f) - 1.0)
+    try:
+        return (gap_val / delta) * ((delta * A * omega + 1.0) ** d_f - 1.0)
+    except OverflowError:  # a finite float to the power d_f that exceeds binary64
+        return math.inf

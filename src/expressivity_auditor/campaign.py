@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .activations import PwlActivation, builtin_activation
-from .netgraph import MAX_WEIGHT_BOUND, MIN_ABS_WEIGHT, Segment, depth_profile, random_network
+from .errors import check_int
+from .netgraph import Segment, check_draw, depth_profile, random_network
 from .report import PASS
 from .restriction import audit_transition_inequalities, break_points, restrict
 
@@ -39,6 +40,7 @@ _KIND_TO_COLUMN = {
 
 # Trials redraw segments shorter than this.
 _MIN_SEGMENT = 1e-6
+_MAX_DRAW = 2**63 - 1  # the largest v for which rng.integers(1, v + 1) accepts its high end
 
 
 @dataclass(frozen=True)
@@ -53,34 +55,32 @@ class CampaignSpec:
     activations: tuple = ("relu", "hard-tanh")
     segment_lo: float = 0.0
     segment_hi: float = 1.0
+    _built: tuple = field(init=False, repr=False, compare=False)  # the activations, built once
 
     def __post_init__(self):
         for name in ("n_choices", "activations"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {v!r}")
-        if not self.n_choices or not all(_is_int(v) and v >= 1 for v in self.n_choices):
-            raise ValueError(f"n_choices must list integer dimensions >= 1, got {self.n_choices!r}")
-        object.__setattr__(self, "n_choices", tuple(int(v) for v in self.n_choices))
+        try:  # an empty list fails on the 0
+            object.__setattr__(self, "n_choices", tuple(check_int("n", v, 1) for v in self.n_choices or [0]))
+        except ValueError:
+            raise ValueError(f"n_choices must list integer dimensions >= 1, got {self.n_choices!r}") from None
         object.__setattr__(self, "activations", tuple(self.activations))
         for name in ("depth_max", "width_max"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if not (isinstance(self.skip_prob, Real) and 0.0 <= self.skip_prob <= 1.0):
-            raise ValueError(f"skip_prob must be in [0, 1], got {self.skip_prob!r}")
-        bound = self.weight_bound  # random_network's rule, checked before any trial runs
-        if not (isinstance(bound, Real) and MIN_ABS_WEIGHT < bound <= MAX_WEIGHT_BOUND):
-            raise ValueError(f"weight_bound must be in ({MIN_ABS_WEIGHT}, {MAX_WEIGHT_BOUND:.3g}], "
-                             f"got {bound!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1, _MAX_DRAW))
+        check_draw(self.skip_prob, self.weight_bound)  # before any trial runs
         if not self.activations:
             raise ValueError("need at least one activation name")
+        built = []
         for name in self.activations:  # fail fast, before any trial runs
             if not isinstance(name, str):
                 raise ValueError(f"activations must list names, got {name!r}")
-            if not isinstance(builtin_activation(name), PwlActivation):
+            built.append(builtin_activation(name))
+            if not isinstance(built[-1], PwlActivation):
                 raise ValueError(f"activations must be piecewise linear to restrict exactly, "
                                  f"got {name!r}")
+        object.__setattr__(self, "_built", tuple(built))
         lo, hi = self.segment_lo, self.segment_hi
         # abs(v) <= max also rejects NaN, and an int too large for a float
         if not all(isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
@@ -117,10 +117,6 @@ class CampaignSpec:
         return cls(**kwargs)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class TrialResult:
     trial: int
@@ -139,7 +135,7 @@ class TrialResult:
 
 def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(i,)))
-    act = builtin_activation(spec.activations[i % len(spec.activations)])
+    act = spec._built[i % len(spec._built)]
     n = int(rng.choice(spec.n_choices))
     depth = int(rng.integers(1, spec.depth_max + 1))
     widths = [int(w) for w in rng.integers(1, spec.width_max + 1, size=depth)]
@@ -176,9 +172,7 @@ def run_trial(spec: CampaignSpec, master_seed: int, i: int) -> TrialResult:
 
 def run_campaign(spec: CampaignSpec, trials: int, seed: int) -> list:
     """All trial results, in trial order."""
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    return [run_trial(spec, seed, i) for i in range(trials)]
+    return [run_trial(spec, seed, i) for i in range(check_int("trials", trials, 0))]
 
 
 def violations(results) -> list:

@@ -36,7 +36,7 @@ from .bounds import (
     strong_convexity_lower_bound,
 )
 from .campaign import CampaignSpec, run_campaign, violations, write_csv
-from .errors import ExpressivityError
+from .errors import ExpressivityError, check_int
 from .netgraph import Segment, depth_profile, load_network
 from .report import PASS, _json_safe
 from .restriction import break_points, restrict, transitions
@@ -79,9 +79,7 @@ def _emit(args, payload: dict, lines) -> None:
 
 def _infer_t(net, t_flag):
     if t_flag is not None:
-        if t_flag < 1:
-            raise ValueError("--t must be >= 1")
-        return t_flag
+        return check_int("--t", t_flag, 1)
     if all(isinstance(u.activation, PwlActivation) for u in net.units):
         return max(u.activation.t for u in net.units)
     raise ValueError("network has non-piecewise-linear activations; pass --t explicitly")
@@ -315,10 +313,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ArgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExpressivityError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (_ArgError, ExpressivityError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

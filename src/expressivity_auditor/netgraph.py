@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .activations import LipschitzActivation, PwlActivation, builtin_activation
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 OUTPUT_ID = "out"
 _INPUT_ID_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -319,6 +319,16 @@ def _evaluate(net: Network, x: np.ndarray):
     return out, {u.uid: values[u.uid] for u in net.units}, pre_acts
 
 
+def check_draw(skip_prob, weight_bound) -> None:
+    """random_network's rule for skip_prob and weight_bound; bools are not numbers here."""
+    if isinstance(skip_prob, bool) or not (isinstance(skip_prob, Real) and 0.0 <= skip_prob <= 1.0):
+        raise ValueError(f"skip_prob must be in [0, 1], got {skip_prob!r}")
+    if isinstance(weight_bound, bool) or not (isinstance(weight_bound, Real)
+                                              and MIN_ABS_WEIGHT < weight_bound <= MAX_WEIGHT_BOUND):
+        raise ValueError(f"weight_bound must be in ({MIN_ABS_WEIGHT}, {MAX_WEIGHT_BOUND:.3g}], "
+                         f"got {weight_bound!r}")
+
+
 def random_network(n, depth, widths=None, max_width=None, skip_prob=0.0, weight_bound=1.0,
                    activation="relu", seed=0) -> Network:
     """Deterministic random layered network.
@@ -337,15 +347,10 @@ def random_network(n, depth, widths=None, max_width=None, skip_prob=0.0, weight_
     out. Draws come in bulk, none larger than what the rest is sure to read,
     so the net and the generator's final state are those of one draw per call.
     """
-    if n < 1 or depth < 1:
-        raise ValueError("need n >= 1 and depth >= 1")
+    n, depth = check_int("n", n, 1), check_int("depth", depth, 1)
     if (widths is None) == (max_width is None):
         raise ValueError("give exactly one of widths / max_width")
-    if not (isinstance(skip_prob, Real) and 0.0 <= skip_prob <= 1.0):
-        raise ValueError("skip_prob must be in [0, 1]")
-    if not (isinstance(weight_bound, Real) and MIN_ABS_WEIGHT < weight_bound <= MAX_WEIGHT_BOUND):
-        raise ValueError(f"weight_bound must be in ({MIN_ABS_WEIGHT}, {MAX_WEIGHT_BOUND:.3g}], "
-                         f"got {weight_bound!r}")
+    check_draw(skip_prob, weight_bound)
     act = builtin_activation(activation) if isinstance(activation, str) else activation
     rng = np.random.default_rng(seed)
     widths = rng.integers(1, max_width + 1, size=depth) if widths is None else widths
@@ -441,12 +446,18 @@ def network_from_json(doc: dict) -> Network:
         n_inputs = doc["n_inputs"]
         if not isinstance(n_inputs, int) or isinstance(n_inputs, bool):
             raise ValueError(f"malformed network document: n_inputs {n_inputs!r} is not an integer")
-        units = tuple(Unit(str(u["id"]), float(u["bias"]), _decode_activation(u["activation"]))
+        units = tuple(Unit(str(u["id"]), _number(u["bias"]), _decode_activation(u["activation"]))
                       for u in doc["units"])
-        edges = tuple(Edge(str(e["from"]), str(e["to"]), float(e["weight"])) for e in doc["edges"])
-        return Network(n_inputs, units, edges, float(doc.get("output_bias", 0.0)))
-    except (KeyError, TypeError) as exc:
+        edges = tuple(Edge(str(e["from"]), str(e["to"]), _number(e["weight"])) for e in doc["edges"])
+        return Network(n_inputs, units, edges, _number(doc.get("output_bias", 0.0)))
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond binary64
         raise ValueError(f"malformed network document: {exc}") from exc
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def save_network(net: Network, path) -> None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,23 @@ def test_quantization_gap_dominates_measured():
     assert measured <= nominal  # round-to-nearest stays within half an ulp
     with pytest.raises(ValueError):
         quantization_gap(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    # 2**-5000 is 0.0 and float(2**5000) overflows; 2.5 bits has no meaning
+    (lambda: quantization_gap(5000), "bit count must be at most 1023, got 5000"),
+    (lambda: quantization_gap(2.5), "bit count must be an integer >= 1, got 2.5"),
+    (lambda: builtin_activation("sigmoid-q(5000)"), "bit count must be at most 1023, got 5000"),
+], ids=["gap-5000", "gap-2.5", "sigmoid-q-5000"])
+def test_bit_count_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert quantization_gap(1023).value == 2.0**-1023 > 0.0
+
+
+def test_boundaries_must_be_one_dimensional():
+    with pytest.raises(ValueError, match=r"activation boundaries must be a 1-D array, got shape \(1, 1\)"):
+        PwlActivation("a", [[0.0]], [0.0, 1.0], [0.0, 0.0])
 
 
 def test_gap_validation():

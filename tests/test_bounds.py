@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,10 @@ def test_breakpoint_bound_validation():
         breakpoint_upper_bound_exact(2, 2, 0)
     with pytest.raises(ValueError):
         breakpoint_upper_bound_exact(2, Fraction(0), 2)
+    with pytest.raises(ValueError, match="^t must be an integer >= 1, got inf$"):
+        breakpoint_upper_bound_exact(math.inf, 1, 1)
+    with pytest.raises(ValueError, match="^omega_f must be positive and finite$"):
+        breakpoint_upper_bound_exact(2, math.inf, 1)  # Fraction(inf) raises OverflowError
 
 
 def test_depth_bound_vs_state_bound():
@@ -65,6 +70,8 @@ def test_depth_bound_vs_state_bound():
     assert rep.margin == 0.0
     with pytest.raises(ValueError):
         depth_bound_vs_state_bound(2, 9, 8)
+    with pytest.raises(ValueError, match="^d_f must be an integer >= 1, got 2.5$"):
+        depth_bound_vs_state_bound(2, 2.5, 5)
 
 
 # -------------------------------------------------------------- curvature psi
@@ -261,6 +268,16 @@ def test_activation_swap_bound_validation():
     for A in (math.inf, math.nan):
         with pytest.raises(ValueError):
             activation_swap_bound(1.0, A, 2.0, 2, 0.0)
+    # both returned NaN before
+    with pytest.raises(ValueError, match="^omega_f must be positive$"):
+        activation_swap_bound(0.25, 1.0, math.nan, 2, 0.1)
+    with pytest.raises(ValueError, match="^gap must be >= 0$"):
+        activation_swap_bound(0.25, 1.0, 2.0, 2, math.nan)
+
+
+def test_activation_swap_bound_overflow_is_inf():
+    # 1e200 ** 2 raises OverflowError in float arithmetic; the cap is +inf
+    assert activation_swap_bound(1.0, 1e200, 1.0, 2, 0.5) == math.inf
 
 
 def test_bound_config_validation():
@@ -269,6 +286,9 @@ def test_bound_config_validation():
     for eps in (math.inf, math.nan):
         with pytest.raises(ValueError, match="epsilon must be"):
             BoundConfig(epsilon=eps)
+    for t in (math.inf, math.nan, True):
+        with pytest.raises(ValueError, match=f"^t must be an integer >= 1, got {re.escape(repr(t))}$"):
+            BoundConfig(t=t)
 
 
 def test_floors_reject_non_finite_epsilon():

@@ -102,6 +102,7 @@ def test_campaign_spec_validation():
     {"n_choices": 2}, {"n_choices": [1.5]}, {"n_choices": [True]}, {"n_choices": [0]},
     {"activations": "relu"}, {"activations": [5]}, {"activations": ["sigmoid"]},
     {"segment_hi": float("inf")}, {"segment_lo": None}, {"segment_lo": -1e308, "segment_hi": 1e308},
+    {"depth_max": 10**29}, {"width_max": 2**63}, {"skip_prob": True},
 ])
 def test_campaign_spec_rejects_bad_draw_parameters(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_tent2
 from expressivity_auditor import (
     Edge,
     Network,
     Unit,
     builtin_activation,
+    network_to_json,
     random_network,
     save_network,
 )
@@ -221,6 +223,9 @@ def test_verify_bad_spec(capsys, tmp_path):
     ({"activations": [5]}, "activations must list names, got 5"),
     ({"activations": ["sigmoid"]},
      "activations must be piecewise linear to restrict exactly, got 'sigmoid'"),
+    # 2**63 - 1 is the largest v for which rng.integers(1, v + 1) accepts its high end
+    ({"depth_max": 10**29}, f"depth_max must be at most {2**63 - 1}, got {10**29}"),
+    ({"width_max": 2**63}, f"width_max must be at most {2**63 - 1}, got {2**63}"),
 ])
 def test_verify_rejects_bad_draw_parameters(capsys, tmp_path, doc, message):
     spec_path = tmp_path / "spec.json"
@@ -495,11 +500,101 @@ def test_non_integer_n_inputs_exits_one(capsys, tmp_path, tent2_path, token):
     assert err.startswith("error: malformed network document: n_inputs")
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze"],
-    ["breakpoints", "--from", "0", "--to", "1"],
-    ["swap", "--act1", "relu", "--act2", "relu", "--A", "1"],
-], ids=["analyze", "breakpoints", "swap"])
+COMMANDS = {
+    "analyze": ["analyze"],
+    "breakpoints": ["breakpoints", "--from", "0", "--to", "1"],
+    "swap": ["swap", "--act1", "relu", "--act2", "relu", "--A", "1"],
+}
+HOSTILE_DOCS = {
+    # (where in the tent2 document, the value put there, the one error line)
+    "huge-weight": (("edges", 0, "weight"), 10**400,
+                    "malformed network document: int too large to convert to float"),
+    "huge-bias": (("units", 0, "bias"), 10**400,
+                  "malformed network document: int too large to convert to float"),
+    "huge-output-bias": (("output_bias",), 10**400,
+                         "malformed network document: int too large to convert to float"),
+    "sigmoid-q-5000": (("units", 0, "activation"), "sigmoid-q(5000)",
+                       "bit count must be at most 1023, got 5000"),
+    "2-d-boundaries": (("units", 0, "activation"),
+                       {"name": "a", "boundaries": [[0]],
+                        "pieces": [{"slope": 0, "intercept": 0}, {"slope": 1, "intercept": 0}]},
+                       "activation boundaries must be a 1-D array, got shape (1, 1)"),
+    "true-weight": (("edges", 0, "weight"), True, "malformed network document: True is not a number"),
+    "true-bias": (("units", 0, "bias"), True, "malformed network document: True is not a number"),
+}
+HOSTILE_CASES = {
+    f"{name}/{command}": (keys, value, argv, message)
+    for name, (keys, value, message) in HOSTILE_DOCS.items() for command, argv in COMMANDS.items()
+}
+HOSTILE_CASES["swap-act2-sigmoid-q-5000"] = (
+    (), None, ["swap", "--act1", "sigmoid", "--act2", "sigmoid-q(5000)", "--A", "4"],
+    "bit count must be at most 1023, got 5000")
+
+
+def _tent2_doc(edits):
+    """tent2's network document with each {(key, ..., key): value} of edits
+    put in place."""
+    doc = network_to_json(build_tent2())
+    for (*keys, last), value in edits.items():
+        place = doc
+        for k in keys:
+            place = place[k]
+        place[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("keys, value, argv, message", HOSTILE_CASES.values(), ids=HOSTILE_CASES)
+def test_hostile_input_exits_one(capsys, tmp_path, keys, value, argv, message):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_tent2_doc({keys: value} if keys else {})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(capsys, [argv[0], "--net", str(path), *argv[1:]])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+NET_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.just(10**400),
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]),
+    st.text(max_size=4),
+)
+NET_VALUES = st.recursive(NET_SCALARS, lambda inner: st.lists(inner, max_size=2), max_leaves=4)
+NET_NAMES = st.one_of(  # activation names, unit ids, and inline activations
+    st.sampled_from(["relu", "hard-tanh", "sigmoid", "leaky-relu(0.1)", "u11", "x1", "out"]),
+    st.integers(-1, 5000).map(lambda k: f"sigmoid-q({k})"),
+    st.builds(lambda b, pieces, nest: {"name": "c", "boundaries": [[b]] if nest else [b],
+                                       "pieces": pieces},
+              NET_VALUES, st.lists(st.fixed_dictionaries({"slope": NET_VALUES, "intercept": NET_VALUES}),
+                                   min_size=1, max_size=3), st.booleans()),
+)
+# Where a value of a tent2 document may be replaced: unit ids, biases and
+# activations, edge endpoints and weights, and the output bias.
+NET_FIELDS = ([("units", i, k) for i in range(4) for k in ("id", "bias", "activation")]
+              + [("edges", j, k) for j in range(8) for k in ("from", "to", "weight")]
+              + [("output_bias",)])
+FUZZ_COMMANDS = (["analyze"], ["breakpoints", "--from", "0", "--to", "1"],
+                 ["swap", "--act1", "relu", "--act2", "hard-tanh", "--A", "1e300", "--samples", "16"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(NET_FIELDS), NET_VALUES | NET_NAMES, max_size=4))
+def test_network_document_fuzz(edits):
+    """Any such document is analyzed, restricted and swapped, or gives one
+    error line: never a traceback or a warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        with open(path, "w") as fh:
+            json.dump(_tent2_doc(edits), fh)
+        for argv in FUZZ_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([argv[0], "--net", path, *argv[1:]])
+            lines = err.getvalue().splitlines()
+            assert rc in (0, 2) and not lines or (
+                rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (argv[0], rc, lines)
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
 def test_no_hidden_units_exits_one(capsys, tmp_path, argv):
     path = tmp_path / "affine.json"
     save_network(Network(1, [], [Edge("x1", "out", 1.0)]), path)

@@ -229,6 +229,12 @@ def test_random_network_bad_args():
         random_network(2, 3, widths=(2, 2), seed=0)  # wrong length
     with pytest.raises(ValueError):
         random_network(2, 3, max_width=4, skip_prob=1.5, seed=0)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 1\.5$"):
+        random_network(1.5, 2, widths=[1, 1])
+    with pytest.raises(ValueError, match="^depth must be an integer >= 1, got True$"):
+        random_network(1, True, widths=[1])
+    with pytest.raises(ValueError, match=r"^skip_prob must be in \[0, 1\], got True$"):
+        random_network(1, 1, widths=[1], skip_prob=True)
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf"), 1e308, "1", None])
